@@ -358,7 +358,7 @@ impl RankRuntime {
             })
         };
         let key = self.weight_slot_key(needs, chunk, FLOW_FWD);
-        let w = self.slots.get(&key).expect("slot resolved").clone();
+        let w = self.slots.get(&key).expect("slot resolved");
         let mut saved_ctxs = Vec::new();
         let mut saved_inputs = Vec::new();
         for l in 0..self.lpc {
@@ -444,7 +444,7 @@ impl RankRuntime {
         let s = self.setup.seq;
         let mut dy = self.upstream_dy(mb, chunk);
         let key = self.weight_slot_key(needs, chunk, FLOW_BWD);
-        let w = self.slots.get(&key).expect("slot resolved").clone();
+        let w = self.slots.get(&key).expect("slot resolved");
         let saved = self
             .fwd_saved
             .remove(&(mb, chunk))
@@ -490,7 +490,7 @@ impl RankRuntime {
         let s = self.setup.seq;
         let mut dy = self.upstream_dy(mb, chunk);
         let key = self.weight_slot_key(needs, chunk, FLOW_BWD);
-        let w = self.slots.get(&key).expect("slot resolved").clone();
+        let w = self.slots.get(&key).expect("slot resolved");
         let saved = self
             .fwd_saved
             .get(&(mb, chunk))
@@ -609,18 +609,16 @@ impl RankRuntime {
         let tag = tag_of(k);
         match k.kind {
             MsgKind::Weights => {
-                let slot = self
-                    .slots
-                    .get(&(k.chunk, k.mb))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "rank {}: sending unknown weight slot {:?}",
-                            self.rank,
-                            (k.chunk, k.mb)
-                        )
-                    })
-                    .clone();
-                self.comm.send(k.dst, tag, &slot, wire)?;
+                // Sent by reference: the send path makes the one copy the
+                // frame needs.
+                let slot = self.slots.get(&(k.chunk, k.mb)).unwrap_or_else(|| {
+                    panic!(
+                        "rank {}: sending unknown weight slot {:?}",
+                        self.rank,
+                        (k.chunk, k.mb)
+                    )
+                });
+                self.comm.send(k.dst, tag, slot, wire)?;
             }
             MsgKind::WeightGrads => {
                 let buf = self

@@ -19,6 +19,7 @@ use weipipe::{
     run_distributed, run_distributed_per_rank, run_single, CommConfig, CommError, FaultPlan,
     Strategy, TrainSetup, TransportKind,
 };
+use wp_tensor::DType;
 
 fn f32_bits_eq(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -64,26 +65,33 @@ fn conformance_battery(kind: TransportKind, p: usize, layers: usize, n: usize) {
 }
 
 /// The headline guarantee: the same setup trains to bit-identical results
-/// with bit-identical traffic volume on every transport.
-fn cross_transport_identical(p: usize, layers: usize, n: usize) {
+/// with bit-identical traffic volume on every transport, at any wire dtype
+/// (the TCP transport packs 16-bit wires at 2 bytes per element; the
+/// in-process mesh moves the quantized f32s).
+fn cross_transport_identical(p: usize, layers: usize, n: usize, wire: DType) {
     for strat in [Strategy::WeiPipeNaive, Strategy::WeiPipeInterleave] {
-        let setup = TrainSetup::tiny(layers, n);
+        let mut setup = TrainSetup::tiny(layers, n);
+        setup.wire = wire;
         let inproc = run_distributed(
             strat,
             p,
             &setup.clone().with_transport(TransportKind::InProcess),
         )
-        .unwrap_or_else(|e| panic!("{strat:?} P={p} in-process: {e:?}"));
+        .unwrap_or_else(|e| panic!("{strat:?} P={p} {wire} in-process: {e:?}"));
         let tcp = run_distributed(
             strat,
             p,
             &setup.clone().with_transport(TransportKind::TcpLocalhost),
         )
-        .unwrap_or_else(|e| panic!("{strat:?} P={p} tcp: {e:?}"));
-        assert_bit_identical(&inproc, &tcp, &format!("{strat:?} P={p} in-process vs tcp"));
+        .unwrap_or_else(|e| panic!("{strat:?} P={p} {wire} tcp: {e:?}"));
+        assert_bit_identical(
+            &inproc,
+            &tcp,
+            &format!("{strat:?} P={p} {wire} in-process vs tcp"),
+        );
         assert_eq!(
             inproc.bytes_sent, tcp.bytes_sent,
-            "{strat:?} P={p}: transports moved different byte volumes"
+            "{strat:?} P={p} {wire}: transports moved different byte volumes"
         );
     }
 }
@@ -109,13 +117,22 @@ fn tcp_battery_wide() {
 fn tcp_matches_inprocess_bit_for_bit_small() {
     // The one socket test in tier-1: a single tiny P=2 world over localhost
     // TCP proving the trait seam end to end (everything heavier is tagged).
-    cross_transport_identical(2, 2, 4);
+    cross_transport_identical(2, 2, 4, DType::F32);
+}
+
+#[test]
+fn tcp_matches_inprocess_bit_for_bit_16bit_wires() {
+    // The packed 2-byte payloads must widen back to the exact quantized
+    // f32s the in-process mesh delivers.
+    for wire in [DType::BF16, DType::F16] {
+        cross_transport_identical(2, 2, 4, wire);
+    }
 }
 
 #[test]
 #[ignore = "sockets: run in the transport-tcp CI job with --ignored"]
 fn tcp_matches_inprocess_bit_for_bit_wide() {
-    cross_transport_identical(4, 4, 8);
+    cross_transport_identical(4, 4, 8, DType::F32);
 }
 
 /// Chaos parity at the training level: a dead-rank plan over sockets must

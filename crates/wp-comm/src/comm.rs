@@ -45,7 +45,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wp_metrics::{Counter, Gauge, MetricsRegistry, RankMetrics};
-use wp_tensor::dtype::quantize_slice;
+use wp_tensor::dtype::quantized_to_vec;
 use wp_tensor::DType;
 use wp_trace::{
     fault_aux, recv_aux, send_aux, FaultFlags, RankTracer, SpanKind, TraceCollector, NO_ID,
@@ -461,10 +461,9 @@ impl Communicator {
         assert!(dst < self.world, "dst {dst} out of range");
         assert_ne!(dst, self.rank, "self-send is not supported");
         self.precheck()?;
-        let mut payload = data.to_vec();
-        // Quantize through the wire format: what a GPU casting to fp16 for
-        // the transfer would do to the values.
-        quantize_slice(&mut payload, dtype);
+        // Copy and quantize through the wire format in one pass: what a GPU
+        // casting to fp16 for the transfer would do to the values.
+        let payload = quantized_to_vec(data, dtype);
         let bytes = (payload.len() * dtype.size_bytes()) as u64;
         self.meter.record_send(self.rank, bytes, class);
         if let Some(m) = &self.metrics {
@@ -529,13 +528,16 @@ impl Communicator {
             checksum: checksum_of(&payload),
             data: payload,
             deliver_at,
-            wire_bytes: bytes,
+            wire: dtype,
             collective: class == TrafficClass::Collective,
             epoch: self.epoch,
         };
         if corrupt {
+            // Flip the sign bit: every wire packing keeps it (a packed
+            // 16-bit frame drops the low mantissa bits), so the flip always
+            // reaches the receiver's checksum.
             match msg.data.first_mut() {
-                Some(x) => *x = f32::from_bits(x.to_bits() ^ 1),
+                Some(x) => *x = f32::from_bits(x.to_bits() ^ 0x8000_0000),
                 None => msg.checksum ^= 1,
             }
         }
@@ -829,11 +831,12 @@ impl Communicator {
         } else {
             TrafficClass::P2p
         };
-        self.meter.record_recv(self.rank, msg.wire_bytes, class);
+        let bytes = msg.wire_bytes();
+        self.meter.record_recv(self.rank, bytes, class);
         if let Some(m) = &self.metrics {
             match class {
-                TrafficClass::P2p => m.add(Counter::P2pBytesRecv, msg.wire_bytes),
-                TrafficClass::Collective => m.add(Counter::CollBytesRecv, msg.wire_bytes),
+                TrafficClass::P2p => m.add(Counter::P2pBytesRecv, bytes),
+                TrafficClass::Collective => m.add(Counter::CollBytesRecv, bytes),
             }
             m.incr(Counter::MsgsRecv);
         }
@@ -841,11 +844,11 @@ impl Communicator {
             Some(tr) => {
                 let aux = recv_aux(src, depth);
                 if let Some(start) = t0 {
-                    tr.end_span(SpanKind::RecvWait, start, NO_ID, NO_ID, msg.wire_bytes, aux);
+                    tr.end_span(SpanKind::RecvWait, start, NO_ID, NO_ID, bytes, aux);
                 }
                 let x0 = tr.now_ns();
                 self.pace(&msg);
-                tr.end_span(SpanKind::RecvXfer, x0, NO_ID, NO_ID, msg.wire_bytes, aux);
+                tr.end_span(SpanKind::RecvXfer, x0, NO_ID, NO_ID, bytes, aux);
             }
             None => self.pace(&msg),
         }
@@ -966,12 +969,11 @@ impl Communicator {
             let send_idx = (self.rank + p - s) % p;
             let recv_idx = (self.rank + p - s - 1) % p;
             let sr = Self::chunk_range(n, p, send_idx);
-            let send_copy = buf[sr].to_vec();
             let req = self.irecv(self.prev_rank(), tag + (s as u64) * 2);
             self.send_internal(
                 next,
                 tag + (s as u64) * 2,
-                &send_copy,
+                &buf[sr],
                 dtype,
                 TrafficClass::Collective,
             )?;
@@ -986,12 +988,11 @@ impl Communicator {
             let send_idx = (self.rank + 1 + p - s) % p;
             let recv_idx = (self.rank + p - s) % p;
             let sr = Self::chunk_range(n, p, send_idx);
-            let send_copy = buf[sr].to_vec();
             let req = self.irecv(self.prev_rank(), tag + (s as u64) * 2 + 1);
             self.send_internal(
                 next,
                 tag + (s as u64) * 2 + 1,
-                &send_copy,
+                &buf[sr],
                 dtype,
                 TrafficClass::Collective,
             )?;
@@ -1028,12 +1029,11 @@ impl Communicator {
             let send_idx = (self.rank + 2 * p - s - 1) % p;
             let recv_idx = (self.rank + 2 * p - s - 2) % p;
             let sr = Self::chunk_range(n, p, send_idx);
-            let send_copy = work[sr].to_vec();
             let req = self.irecv(self.prev_rank(), tag + s as u64);
             self.send_internal(
                 next,
                 tag + s as u64,
-                &send_copy,
+                &work[sr],
                 dtype,
                 TrafficClass::Collective,
             )?;
@@ -1069,12 +1069,11 @@ impl Communicator {
         for s in 0..p - 1 {
             let send_idx = (self.rank + p - s) % p;
             let recv_idx = (self.rank + p - s - 1) % p;
-            let send_copy = out[send_idx * m..(send_idx + 1) * m].to_vec();
             let req = self.irecv(self.prev_rank(), tag + s as u64);
             self.send_internal(
                 next,
                 tag + s as u64,
-                &send_copy,
+                &out[send_idx * m..(send_idx + 1) * m],
                 dtype,
                 TrafficClass::Collective,
             )?;

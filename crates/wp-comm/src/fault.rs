@@ -32,7 +32,8 @@
 //!   [`CommError::PeerDead`](crate::CommError::PeerDead) and the abort
 //!   protocol tears down the surviving ranks.
 //! * **Corruption** (`with_corruption`) — one message on one link has a
-//!   payload bit flipped *after* its checksum was computed; the receiver
+//!   payload bit flipped *after* its checksum was computed (the first
+//!   element's sign bit, which every wire packing keeps); the receiver
 //!   detects [`CommError::Corrupt`](crate::CommError::Corrupt).
 
 use std::time::Duration;

@@ -9,14 +9,24 @@
 //! * `HELLO` (handshake, sent once by the connecting side before any
 //!   frame): magic `0x57505452` ("WPTR"), protocol version `u8`, sender
 //!   rank `u32`. The accepting side learns who is at the other end.
-//! * `DATA` (kind 1): `tag u64`, `checksum u64`, `wire_bytes u64`,
-//!   `flags u8` (bit 0 = collective hop, bit 1 = delivery delay present),
-//!   `delay_ns u64`, `epoch u64`, `n u32`, then `n` f32 bit patterns
-//!   (`u32` each). The tag/class/epoch envelope of [`Frame`] verbatim; the
+//! * `DATA` (kind 1): `tag u64`, `checksum u64`, `flags u8`,
+//!   `delay_ns u64`, `epoch u64`, `n u32`, then the `n` payload elements
+//!   packed at the wire dtype's width: f32 bit patterns as `u32`, bf16 as
+//!   the high `u16` of the (already bf16-quantized) f32 bits, f16 as
+//!   [`f32_to_f16_bits`]. `flags` bit 0 = collective hop, bit 1 =
+//!   delivery delay present, bits 2–3 = wire dtype (0 = f32, 1 = f16,
+//!   2 = bf16). The header is a fixed 42 bytes (length prefix
+//!   included), so a frame occupies exactly `42 + n × width`
+//!   bytes on the socket — the size both ends charge the
+//!   [`TrafficMeter`](crate::TrafficMeter) plus the header. The
+//!   tag/class/epoch envelope of [`Frame`] crosses verbatim; the
 //!   link-model delivery deadline crosses the process boundary as a
 //!   *remaining* delay, captured when the frame hits the wire and
 //!   re-anchored to the receiver's clock on arrival (wall clocks of
-//!   different processes never compare).
+//!   different processes never compare). Packing is lossless because
+//!   frames are quantized through their wire dtype before they reach the
+//!   transport; a payload that is not (a contract violation or a bit
+//!   flip) fails its checksum on arrival.
 //! * `ABORT` (kind 2): origin rank `u32` plus an encoded
 //!   [`CommError`] — the poison pill crossing a process boundary. The
 //!   reader thread trips the local [`AbortCell`], so blocked receives
@@ -45,6 +55,8 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wp_metrics::{Counter, Gauge, RankMetrics};
+use wp_tensor::dtype::{bf16_bits_to_f32, f16_bits_to_f32, f32_to_f16_bits};
+use wp_tensor::DType;
 
 /// Metrics handle shared with the per-peer reader/writer threads. The
 /// threads spawn at establish time, before any `instrument` call, so they
@@ -53,10 +65,12 @@ use wp_metrics::{Counter, Gauge, RankMetrics};
 type MetricsCell = Arc<OnceLock<RankMetrics>>;
 
 const MAGIC: u32 = 0x5750_5452; // "WPTR"
-                                // Version 2 added the per-frame configuration epoch to the DATA body and
-                                // the MembershipMismatch error variant; mixed-version meshes are rejected
-                                // at HELLO time rather than mis-parsed mid-stream.
-const PROTO_VERSION: u8 = 2;
+/// Version 2 added the per-frame configuration epoch and the
+/// MembershipMismatch error variant; version 3 packs 16-bit payloads at
+/// their wire width, records the wire dtype in the DATA flags and drops the
+/// redundant `wire_bytes` header field. Mixed-version meshes are rejected
+/// at HELLO time rather than mis-parsed mid-stream.
+const PROTO_VERSION: u8 = 3;
 const KIND_DATA: u8 = 1;
 const KIND_ABORT: u8 = 2;
 const KIND_GOODBYE: u8 = 3;
@@ -66,6 +80,29 @@ const MAX_FRAME: u32 = 1 << 30;
 
 const FLAG_COLLECTIVE: u8 = 1 << 0;
 const FLAG_HAS_DELAY: u8 = 1 << 1;
+const FLAG_DTYPE_SHIFT: u32 = 2;
+const FLAG_DTYPE_MASK: u8 = 0b11 << FLAG_DTYPE_SHIFT;
+
+/// Encoded size of a DATA frame before its payload: length prefix, kind,
+/// tag, checksum, flags, delay, epoch and element count.
+const DATA_HEADER: usize = 4 + 1 + 8 + 8 + 1 + 8 + 8 + 4;
+
+fn dtype_code(d: DType) -> u8 {
+    match d {
+        DType::F32 => 0,
+        DType::F16 => 1,
+        DType::BF16 => 2,
+    }
+}
+
+fn dtype_of_code(c: u8) -> Option<DType> {
+    match c {
+        0 => Some(DType::F32),
+        1 => Some(DType::F16),
+        2 => Some(DType::BF16),
+        _ => None,
+    }
+}
 
 // ---- Encoding ------------------------------------------------------------
 
@@ -112,50 +149,83 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Serialize `frame` as a DATA wire frame (including the length prefix).
-/// `delay` is the remaining link-model delivery delay at the moment the
-/// frame hits the wire.
+/// Serialize `frame` as a DATA wire frame (including the length prefix)
+/// into `buf`, in one pass over a buffer sized up front. `buf` is reused
+/// across frames: it only grows (and zero-fills) when a frame is larger
+/// than every earlier one, and every byte is then overwritten. `delay` is
+/// the remaining link-model delivery delay at the moment the frame hits
+/// the wire.
 fn encode_data(frame: &Frame, delay: Option<Duration>, buf: &mut Vec<u8>) {
-    buf.clear();
-    put_u32(buf, 0); // length back-patched below
-    buf.push(KIND_DATA);
-    put_u64(buf, frame.tag);
-    put_u64(buf, frame.checksum);
-    put_u64(buf, frame.wire_bytes);
-    let mut flags = 0u8;
+    let n = frame.data.len();
+    buf.resize(DATA_HEADER + frame.wire_bytes() as usize, 0);
+    let (header, payload) = buf.split_at_mut(DATA_HEADER);
+    let mut flags = dtype_code(frame.wire) << FLAG_DTYPE_SHIFT;
     if frame.collective {
         flags |= FLAG_COLLECTIVE;
     }
     if delay.is_some() {
         flags |= FLAG_HAS_DELAY;
     }
-    buf.push(flags);
-    put_u64(buf, delay.map_or(0, |d| d.as_nanos() as u64));
-    put_u64(buf, frame.epoch);
-    put_u32(buf, frame.data.len() as u32);
-    for x in &frame.data {
-        put_u32(buf, x.to_bits());
+    let len = (DATA_HEADER - 4 + payload.len()) as u32;
+    header[0..4].copy_from_slice(&len.to_le_bytes());
+    header[4] = KIND_DATA;
+    header[5..13].copy_from_slice(&frame.tag.to_le_bytes());
+    header[13..21].copy_from_slice(&frame.checksum.to_le_bytes());
+    header[21] = flags;
+    let delay_ns = delay.map_or(0, |d| d.as_nanos() as u64);
+    header[22..30].copy_from_slice(&delay_ns.to_le_bytes());
+    header[30..38].copy_from_slice(&frame.epoch.to_le_bytes());
+    header[38..42].copy_from_slice(&(n as u32).to_le_bytes());
+    match frame.wire {
+        DType::F32 => {
+            for (w, x) in payload.chunks_exact_mut(4).zip(&frame.data) {
+                w.copy_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+        DType::BF16 => {
+            for (w, x) in payload.chunks_exact_mut(2).zip(&frame.data) {
+                w.copy_from_slice(&((x.to_bits() >> 16) as u16).to_le_bytes());
+            }
+        }
+        DType::F16 => {
+            for (w, x) in payload.chunks_exact_mut(2).zip(&frame.data) {
+                w.copy_from_slice(&f32_to_f16_bits(*x).to_le_bytes());
+            }
+        }
     }
-    let len = (buf.len() - 4) as u32;
-    buf[0..4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Parse a DATA body (everything after the kind byte). The delivery
-/// deadline is re-anchored to this process's clock.
+/// Parse a DATA body (everything after the kind byte), widening the packed
+/// payload back to f32 in one pass. The delivery deadline is re-anchored to
+/// this process's clock.
 fn decode_data(body: &[u8]) -> Option<Frame> {
     let mut c = Cursor::new(body);
     let tag = c.u64()?;
     let checksum = c.u64()?;
-    let wire_bytes = c.u64()?;
     let flags = c.u8()?;
     let delay_ns = c.u64()?;
     let epoch = c.u64()?;
     let n = c.u32()? as usize;
-    let raw = c.bytes(n * 4)?;
-    let data = raw
-        .chunks_exact(4)
-        .map(|w| f32::from_bits(u32::from_le_bytes(w.try_into().unwrap())))
-        .collect();
+    let wire = dtype_of_code((flags & FLAG_DTYPE_MASK) >> FLAG_DTYPE_SHIFT)?;
+    let raw = c.bytes(n.checked_mul(wire.size_bytes())?)?;
+    let mut data = vec![0.0f32; n];
+    match wire {
+        DType::F32 => {
+            for (x, w) in data.iter_mut().zip(raw.chunks_exact(4)) {
+                *x = f32::from_bits(u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+            }
+        }
+        DType::BF16 => {
+            for (x, w) in data.iter_mut().zip(raw.chunks_exact(2)) {
+                *x = bf16_bits_to_f32(u16::from_le_bytes([w[0], w[1]]));
+            }
+        }
+        DType::F16 => {
+            for (x, w) in data.iter_mut().zip(raw.chunks_exact(2)) {
+                *x = f16_bits_to_f32(u16::from_le_bytes([w[0], w[1]]));
+            }
+        }
+    }
     let deliver_at =
         (flags & FLAG_HAS_DELAY != 0).then(|| Instant::now() + Duration::from_nanos(delay_ns));
     Some(Frame {
@@ -163,7 +233,7 @@ fn decode_data(body: &[u8]) -> Option<Frame> {
         data,
         deliver_at,
         checksum,
-        wire_bytes,
+        wire,
         collective: flags & FLAG_COLLECTIVE != 0,
         epoch,
     })
@@ -812,7 +882,7 @@ mod tests {
         Frame {
             tag,
             checksum: checksum_of(&data),
-            wire_bytes: (data.len() * 4) as u64,
+            wire: DType::F32,
             data,
             deliver_at: None,
             collective: false,
@@ -835,7 +905,7 @@ mod tests {
         let g = decode_data(&buf[5..]).expect("well-formed frame");
         assert_eq!(g.tag, 42);
         assert_eq!(g.checksum, f.checksum);
-        assert_eq!(g.wire_bytes, f.wire_bytes);
+        assert_eq!(g.wire, f.wire);
         assert_eq!(g.epoch, 3, "epoch must survive the wire");
         assert!(g.collective);
         assert!(g.deliver_at.is_none());
@@ -845,6 +915,124 @@ mod tests {
             "payload bits must survive the wire exactly"
         );
         assert!(g.verify());
+    }
+
+    /// Edge bit patterns every packing must carry: ±0, ±inf, NaN, f32
+    /// subnormals, and values that land on f16/bf16 subnormals or overflow.
+    const SPECIALS: [f32; 12] = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MIN_POSITIVE,
+        -1e-40,
+        5.960_464_5e-8, // smallest f16 subnormal
+        -6.0e-5,        // f16 subnormal
+        1e-39,          // bf16 subnormal
+        65504.0,
+        -1e38,
+    ];
+
+    /// Every special followed by `n` arbitrary bit patterns drawn from
+    /// `seed`, quantized through `wire` as the send path does.
+    fn payload(seed: u64, n: usize, wire: DType) -> Vec<f32> {
+        let mut state = seed;
+        let random = (0..n).map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            f32::from_bits((state >> 32) as u32)
+        });
+        let data: Vec<f32> = SPECIALS.into_iter().chain(random).collect();
+        wp_tensor::dtype::quantized_to_vec(&data, wire)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn packed_payloads_round_trip_bit_for_bit(
+            seed in proptest::prelude::any::<u64>(),
+            n in 0usize..80,
+            wire in proptest::prelude::prop::sample::select(vec![DType::F32, DType::F16, DType::BF16]),
+        ) {
+            let data = payload(seed, n, wire);
+            let f = Frame {
+                tag: seed,
+                checksum: checksum_of(&data),
+                wire,
+                data,
+                deliver_at: None,
+                collective: seed & 1 == 1,
+                epoch: seed >> 60,
+            };
+            let mut buf = Vec::new();
+            encode_data(&f, None, &mut buf);
+            let g = decode_data(&buf[5..]).expect("well-formed frame");
+            proptest::prop_assert_eq!(bits(&g.data), bits(&f.data), "{} n={}", wire, n);
+            proptest::prop_assert_eq!(g.wire, wire);
+            proptest::prop_assert_eq!(g.collective, f.collective);
+            proptest::prop_assert!(g.verify(), "{} payload must pass its checksum", wire);
+        }
+    }
+
+    #[test]
+    fn encoded_frame_is_wire_bytes_plus_fixed_header() {
+        let mut buf = vec![0xAB; 4096]; // a reused, larger buffer
+        for wire in [DType::F32, DType::F16, DType::BF16] {
+            for n in [0usize, 1, 7, 300] {
+                let mut f = frame(3, vec![1.5; n]);
+                f.wire = wire;
+                encode_data(&f, Some(Duration::from_millis(1)), &mut buf);
+                assert_eq!(
+                    buf.len() as u64,
+                    DATA_HEADER as u64 + f.wire_bytes(),
+                    "{wire} n={n}: bytes on the socket must be the metered size plus the header"
+                );
+                assert_eq!(f.wire_bytes(), (n * wire.size_bytes()) as u64);
+                let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
+                assert_eq!(len, buf.len() - 4, "{wire} n={n}: length prefix");
+                assert_eq!(bits(&decode_data(&buf[5..]).unwrap().data), bits(&f.data));
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_wire_dtype_code_is_a_framing_error() {
+        let mut buf = Vec::new();
+        encode_data(&frame(1, vec![1.0]), None, &mut buf);
+        buf[21] |= FLAG_DTYPE_MASK; // code 3: no such dtype
+        assert!(decode_data(&buf[5..]).is_none());
+    }
+
+    #[test]
+    fn hello_from_an_older_protocol_is_rejected() {
+        let listener = bind_localhost().unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut old = TcpStream::connect(addr).unwrap();
+        let mut hello = Vec::new();
+        put_u32(&mut hello, MAGIC);
+        hello.push(2);
+        put_u32(&mut hello, 0);
+        old.write_all(&hello).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let err = read_hello(&accepted, Instant::now() + Duration::from_secs(5))
+            .expect_err("a version-2 peer must be refused");
+        assert!(err.to_string().contains("version 2"), "{err}");
+        // The current version is accepted on the same path.
+        let mut new = TcpStream::connect(addr).unwrap();
+        write_hello(&new, 1).unwrap();
+        new.flush().unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert_eq!(
+            read_hello(&accepted, Instant::now() + Duration::from_secs(5)).unwrap(),
+            1
+        );
     }
 
     #[test]

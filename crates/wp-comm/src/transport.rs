@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use wp_tensor::DType;
 
 /// Which substrate a [`WorldBuilder`](crate::WorldBuilder) wires its ranks
 /// over. The layers above the [`Transport`] trait behave byte-identically
@@ -55,23 +56,75 @@ pub enum TransportKind {
     TcpLocalhost,
 }
 
-/// FNV-1a over a payload's f32 bit patterns — the end-to-end checksum
-/// carried by every [`Frame`].
+/// Independent hash lanes in [`checksum_of`]: one u64 word (two adjacent
+/// f32 bit patterns) per lane per 16-element block, so eight multiply
+/// chains run in parallel instead of one serial byte-at-a-time chain.
+const CHECKSUM_LANES: usize = 8;
+/// Odd multiplier (2⁶⁴/φ): multiplication by an odd constant is a
+/// bijection on u64.
+const CHECKSUM_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One hash step: xor the word in, multiply by an odd constant, rotate.
+/// Each of the three is a bijection on the state for a fixed word and on
+/// the word for a fixed state, so two inputs differing in exactly one word
+/// always leave different states. The rotate folds the product's high bits
+/// (where a multiply pushes every difference) back down to the low end,
+/// so a difference in a word's top bit cannot be cancelled by the same
+/// difference in the lane's next word.
+#[inline(always)]
+fn checksum_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(CHECKSUM_MUL).rotate_left(29)
+}
+
+/// The end-to-end checksum carried by every [`Frame`]: a word-wise,
+/// 8-lane FNV-style hash over the payload's f32 bit patterns.
+///
+/// The algorithm is part of the wire protocol (both ends must agree), so
+/// it is fixed and tested against a known-answer vector:
+///
+/// 1. every lane starts at `seed = CHECKSUM_SEED ^ len·CHECKSUM_MUL` plus
+///    its lane index, so payloads of different lengths hash apart;
+/// 2. each full block of 16 elements feeds lane `i` the word
+///    `bits[2i] | bits[2i+1] << 32` through [`checksum_step`];
+/// 3. the lanes fold in order into a state starting at `seed`, then the
+///    0–15 remainder elements follow one 32-bit word each;
+/// 4. a final xor-shift/multiply avalanche (also a bijection) mixes the
+///    result.
+///
+/// Every step is a bijection, so changing any single element — one flipped
+/// bit included — always changes the checksum. Bit patterns, not values,
+/// are hashed: `0.0` and `-0.0` differ.
 pub fn checksum_of(data: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in data {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let seed = CHECKSUM_SEED ^ (data.len() as u64).wrapping_mul(CHECKSUM_MUL);
+    let mut lanes = [0u64; CHECKSUM_LANES];
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        *lane = seed.wrapping_add(i as u64);
+    }
+    let blocks = data.chunks_exact(2 * CHECKSUM_LANES);
+    let tail = blocks.remainder();
+    for block in blocks {
+        let block: &[f32; 2 * CHECKSUM_LANES] = block.try_into().expect("exact chunk");
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let word =
+                u64::from(block[2 * i].to_bits()) | (u64::from(block[2 * i + 1].to_bits()) << 32);
+            *lane = checksum_step(*lane, word);
         }
     }
-    h
+    let mut h = lanes.into_iter().fold(seed, checksum_step);
+    for x in tail {
+        h = checksum_step(h, u64::from(x.to_bits()));
+    }
+    h ^= h >> 31;
+    h = h.wrapping_mul(CHECKSUM_MUL);
+    h ^ (h >> 32)
 }
 
 /// One framed message: the tag/class envelope plus payload that every
 /// transport carries verbatim. The fields are decided *above* the trait
 /// (quantization, checksumming, fault corruption, link pacing) — a
-/// transport never inspects or alters them, it only preserves them.
+/// transport never alters them, it only preserves them. A serializing
+/// transport reads [`wire`](Self::wire) to pack the payload, losslessly.
 #[derive(Debug)]
 pub struct Frame {
     /// User or collective tag (matching happens above the transport).
@@ -83,13 +136,14 @@ pub struct Frame {
     /// Transports that cross a process boundary carry the *remaining*
     /// delay on the wire and re-anchor it on arrival.
     pub deliver_at: Option<Instant>,
-    /// FNV-1a over the payload bits, computed at send time (before any
-    /// injected corruption).
+    /// [`checksum_of`] over the payload bits, computed at send time (before
+    /// any injected corruption).
     pub checksum: u64,
-    /// Wire size the sender was charged (element count × storage dtype
-    /// width). Carried so the *receiver* can charge the same size without
-    /// knowing the wire dtype.
-    pub wire_bytes: u64,
+    /// Wire dtype the payload was quantized through. It fixes both the
+    /// size both ends charge ([`wire_bytes`](Self::wire_bytes)) and, on
+    /// transports that serialize, the packing: 16-bit dtypes cross a socket
+    /// at 2 bytes per element.
+    pub wire: DType,
     /// Whether this frame is a collective hop, so the receiver charges the
     /// same traffic class the sender was charged.
     pub collective: bool,
@@ -103,6 +157,11 @@ pub struct Frame {
 }
 
 impl Frame {
+    /// Wire size charged on both ends: element count × wire dtype width.
+    pub fn wire_bytes(&self) -> u64 {
+        (self.data.len() * self.wire.size_bytes()) as u64
+    }
+
     /// Whether the payload still matches its send-time checksum.
     pub fn verify(&self) -> bool {
         checksum_of(&self.data) == self.checksum
@@ -354,7 +413,7 @@ mod tests {
         Frame {
             tag,
             checksum: checksum_of(&data),
-            wire_bytes: (data.len() * 4) as u64,
+            wire: DType::F32,
             data,
             deliver_at: None,
             collective: false,
@@ -411,6 +470,59 @@ mod tests {
                 CommError::PeerDead { rank: 0 }
             );
         }
+    }
+
+    #[test]
+    fn any_single_bit_flip_changes_the_checksum() {
+        // 0 and 1 exercise the empty and tail-only paths, 15/16/17 the
+        // block boundary, 33 two full blocks plus a tail.
+        for n in [0usize, 1, 15, 16, 17, 33] {
+            let data: Vec<f32> = (0..n).map(|i| (i as f32 - 7.25) * 0.37).collect();
+            let base = checksum_of(&data);
+            for i in 0..n {
+                for bit in 0..32 {
+                    let mut d = data.clone();
+                    d[i] = f32::from_bits(d[i].to_bits() ^ (1 << bit));
+                    assert_ne!(checksum_of(&d), base, "n={n}: element {i} bit {bit}");
+                }
+            }
+            // Length is hashed too: appending a zero is a change.
+            let mut longer = data.clone();
+            longer.push(0.0);
+            assert_ne!(checksum_of(&longer), base, "n={n}: appended zero");
+        }
+    }
+
+    #[test]
+    fn checksum_pair_of_top_bit_flips_in_one_lane_is_detected() {
+        // Elements 1 and 17 feed the same lane in consecutive blocks, both
+        // in a word's top bit; without the rotate they would cancel.
+        let data = vec![1.0f32; 32];
+        let mut d = data.clone();
+        d[1] = -d[1];
+        d[17] = -d[17];
+        assert_ne!(checksum_of(&d), checksum_of(&data));
+    }
+
+    #[test]
+    fn checksum_known_answers() {
+        // Frozen: the checksum is part of the wire protocol, so any change
+        // to the algorithm must be deliberate (and bump the TCP protocol
+        // version).
+        let ramp: Vec<f32> = (0..37).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let got = [
+            checksum_of(&[]),
+            checksum_of(&[1.0]),
+            checksum_of(&[-0.0, f32::INFINITY, f32::NAN]),
+            checksum_of(&ramp),
+        ];
+        let want = [
+            0xe4cf_033f_cefb_5c35,
+            0x5916_15fe_c312_59ae,
+            0x2030_f266_08c5_51e2,
+            0x1fdf_b6ee_4b3e_ed7c,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
     }
 
     #[test]

@@ -25,16 +25,18 @@ fn sleep_until(deadline: Instant) {
     }
 }
 
-/// Every rank all-reduces in a loop — the simplest workload where every
-/// rank keeps talking to every other rank via the ring.
+/// Every rank all-reduces in a loop over the `wire` dtype — the simplest
+/// workload where every rank keeps talking to every other rank via the
+/// ring.
 fn ring_workload(
     iters: usize,
+    wire: DType,
 ) -> impl Fn(wp_comm::Communicator) -> Result<f32, CommError> + Send + Sync {
     move |mut c| {
         let mut acc = 0.0f32;
         for i in 0..iters {
             let mut buf = vec![c.rank() as f32 + i as f32; 8];
-            c.all_reduce_sum(&mut buf, DType::F32)?;
+            c.all_reduce_sum(&mut buf, wire)?;
             acc += buf[0];
         }
         Ok(acc)
@@ -53,7 +55,7 @@ fn dead_rank_case(kind: TransportKind) {
         .config(config)
         .transport(kind)
         .faults(plan)
-        .try_run(ring_workload(50));
+        .try_run(ring_workload(50, DType::F32));
     let elapsed = started.elapsed();
     assert!(
         elapsed < budget,
@@ -88,7 +90,7 @@ fn dead_rank_at_op_zero_kills_the_world_immediately() {
     let (results, _) = World::builder(3)
         .config(fast())
         .faults(plan)
-        .try_run(ring_workload(5));
+        .try_run(ring_workload(5, DType::F32));
     for (rank, r) in results.iter().enumerate() {
         assert_eq!(
             r.as_ref().unwrap_err(),
@@ -172,44 +174,56 @@ fn retries_extend_the_deadline_with_backoff() {
     assert_eq!(results[1].as_ref().unwrap(), &3.0);
 }
 
-fn corruption_case(kind: TransportKind) {
+/// Every wire dtype the transports carry. The TCP transport packs 16-bit
+/// dtypes at 2 bytes per element, so an injected bit flip must land on a
+/// bit every packing keeps.
+const WIRES: [DType; 3] = [DType::F32, DType::BF16, DType::F16];
+
+fn corruption_case(kind: TransportKind, wire: DType) {
     // Corrupt the 3rd message on link 0→1 of a ring all-reduce.
     let plan = FaultPlan::new(3).with_corruption(0, 1, 2);
     let (results, _) = World::builder(2)
         .config(fast())
         .transport(kind)
         .faults(plan)
-        .try_run(ring_workload(10));
+        .try_run(ring_workload(10, wire));
     // Rank 1 detects the corruption on arrival.
-    match results[1].as_ref().unwrap_err() {
-        CommError::Corrupt { src, .. } => assert_eq!(*src, 0),
-        other => panic!("{kind:?}: expected Corrupt on the receiver, got {other:?}"),
+    match &results[1] {
+        Err(CommError::Corrupt { src, .. }) => assert_eq!(*src, 0),
+        other => panic!("{kind:?} {wire}: expected Corrupt on the receiver, got {other:?}"),
     }
     // Rank 0 is unwound by the abort protocol, naming the detector.
-    match results[0].as_ref().unwrap_err() {
-        CommError::Corrupt { .. } => {} // rank 0 may also hit its own error path first
-        CommError::Aborted { origin, reason } => {
+    match &results[0] {
+        Err(CommError::Corrupt { .. }) => {} // rank 0 may also hit its own error path first
+        Err(CommError::Aborted { origin, reason }) => {
             assert_eq!(*origin, 1);
-            assert!(reason.contains("checksum"), "{kind:?} reason: {reason}");
+            assert!(
+                reason.contains("checksum"),
+                "{kind:?} {wire} reason: {reason}"
+            );
         }
-        CommError::PeerDead { rank } => {
+        Err(CommError::PeerDead { rank }) => {
             // Over sockets the detector may tear its endpoint down before
             // its ABORT frame wins the race with the reader seeing EOF.
-            assert_eq!(*rank, 1, "{kind:?}: wrong peer blamed");
+            assert_eq!(*rank, 1, "{kind:?} {wire}: wrong peer blamed");
         }
-        other => panic!("{kind:?}: expected Aborted/Corrupt on the sender, got {other:?}"),
+        other => panic!("{kind:?} {wire}: expected Aborted/Corrupt on the sender, got {other:?}"),
     }
 }
 
 #[test]
 fn corrupted_payload_is_detected_by_checksum() {
-    corruption_case(TransportKind::InProcess);
+    for wire in WIRES {
+        corruption_case(TransportKind::InProcess, wire);
+    }
 }
 
 #[test]
 #[ignore = "sockets: run in the transport-tcp CI job with --ignored"]
 fn corrupted_payload_is_detected_by_checksum_over_tcp() {
-    corruption_case(TransportKind::TcpLocalhost);
+    for wire in WIRES {
+        corruption_case(TransportKind::TcpLocalhost, wire);
+    }
 }
 
 fn stall_case(kind: TransportKind) {
@@ -219,9 +233,11 @@ fn stall_case(kind: TransportKind) {
         .config(CommConfig::default())
         .transport(kind)
         .faults(stalled)
-        .try_run(ring_workload(4));
+        .try_run(ring_workload(4, DType::F32));
     let vals: Vec<f32> = results.into_iter().map(|r| r.unwrap()).collect();
-    let (clean, _) = World::builder(2).transport(kind).try_run(ring_workload(4));
+    let (clean, _) = World::builder(2)
+        .transport(kind)
+        .try_run(ring_workload(4, DType::F32));
     let clean: Vec<f32> = clean.into_iter().map(|r| r.unwrap()).collect();
     assert_eq!(
         vals, clean,
@@ -247,7 +263,7 @@ fn stall_delays_but_does_not_change_results_over_tcp() {
 #[test]
 fn reorder_heavy_plan_preserves_results_across_world_sizes() {
     for p in [2usize, 3, 5] {
-        let (clean, _) = World::builder(p).try_run(ring_workload(6));
+        let (clean, _) = World::builder(p).try_run(ring_workload(6, DType::F32));
         let clean: Vec<f32> = clean.into_iter().map(|r| r.unwrap()).collect();
         for seed in [1u64, 77, 4096] {
             let plan = FaultPlan::new(seed)
@@ -257,7 +273,7 @@ fn reorder_heavy_plan_preserves_results_across_world_sizes() {
             let (faulty, meter) = World::builder(p)
                 .config(fast())
                 .faults(plan)
-                .try_run(ring_workload(6));
+                .try_run(ring_workload(6, DType::F32));
             let faulty: Vec<f32> = faulty.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(clean, faulty, "p={p} seed={seed}");
             assert!(
@@ -273,7 +289,7 @@ fn reorder_heavy_plan_preserves_results_across_world_sizes() {
 fn reorder_heavy_plan_preserves_results_over_tcp() {
     let (clean, _) = World::builder(3)
         .transport(TransportKind::TcpLocalhost)
-        .try_run(ring_workload(6));
+        .try_run(ring_workload(6, DType::F32));
     let clean: Vec<f32> = clean.into_iter().map(|r| r.unwrap()).collect();
     for seed in [1u64, 77] {
         let plan = FaultPlan::new(seed)
@@ -283,7 +299,7 @@ fn reorder_heavy_plan_preserves_results_over_tcp() {
             .config(fast())
             .transport(TransportKind::TcpLocalhost)
             .faults(plan)
-            .try_run(ring_workload(6));
+            .try_run(ring_workload(6, DType::F32));
         let faulty: Vec<f32> = faulty.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(clean, faulty, "seed={seed}");
         assert!(
@@ -302,7 +318,7 @@ fn fault_injection_is_deterministic_per_seed() {
         let (results, meter) = World::builder(3)
             .config(fast())
             .faults(plan)
-            .try_run(ring_workload(8));
+            .try_run(ring_workload(8, DType::F32));
         let vals: Vec<f32> = results.into_iter().map(|r| r.unwrap()).collect();
         let faults: Vec<u64> = meter.all().iter().map(|m| m.faults_injected).collect();
         (vals, faults)

@@ -181,6 +181,22 @@ pub fn quantize_slice(xs: &mut [f32], dtype: DType) {
     }
 }
 
+/// A quantized copy of `xs`: the copy and [`quantize_slice`] fused into
+/// one pass over the data.
+pub fn quantized_to_vec(xs: &[f32], dtype: DType) -> Vec<f32> {
+    match dtype {
+        DType::F32 => xs.to_vec(),
+        DType::F16 => xs
+            .iter()
+            .map(|&x| f16_bits_to_f32(f32_to_f16_bits(x)))
+            .collect(),
+        DType::BF16 => xs
+            .iter()
+            .map(|&x| bf16_bits_to_f32(f32_to_bf16_bits(x)))
+            .collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +281,21 @@ mod tests {
         let snapshot = vals.clone();
         quantize_slice(&mut vals, DType::F16);
         assert_eq!(vals, snapshot);
+    }
+
+    #[test]
+    fn quantized_to_vec_matches_quantize_slice() {
+        let xs = [0.1f32, -3.7, 1e-5, 123.456, -65000.0, 1e-9, f32::NAN, -0.0];
+        for dt in [DType::F32, DType::F16, DType::BF16] {
+            let mut want = xs.to_vec();
+            quantize_slice(&mut want, dt);
+            let got = quantized_to_vec(&xs, dt);
+            assert_eq!(
+                got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "{dt}"
+            );
+        }
     }
 
     #[test]
