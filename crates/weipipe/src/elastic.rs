@@ -32,7 +32,7 @@ use crate::runner::{build_schedule, run_rank_elastic};
 use crate::setup::{RunOutput, TrainSetup};
 use std::sync::Mutex;
 use std::time::Instant;
-use wp_comm::{CommError, FaultPlan, Membership, World};
+use wp_comm::{CommError, FaultPlan, Membership, Probe, World};
 use wp_metrics::{Counter, Hist, MetricsRegistry};
 use wp_nn::TrainState;
 use wp_sched::Strategy;
@@ -177,11 +177,9 @@ pub fn run_elastic(
         let schedule = build_schedule(strategy, p, &epoch_setup);
         let registry = epoch_setup.metrics.enabled.then(|| MetricsRegistry::new(p));
         if let Some(t0) = reshard_started.take() {
-            if let Some(reg) = &registry {
-                let h = reg.handle(0);
-                h.incr(Counter::RecoveryEpochs);
-                h.observe(Hist::ReshardNs, t0.elapsed().as_nanos() as u64);
-            }
+            let probe = Probe::new(None, registry.as_ref().map(|reg| reg.handle(0)));
+            probe.incr(Counter::RecoveryEpochs);
+            probe.observe(Hist::ReshardNs, t0.elapsed().as_nanos() as u64);
         }
         let stores: Vec<Mutex<Vec<TrainState>>> = (0..p).map(|_| Mutex::new(Vec::new())).collect();
         let m = membership.clone();

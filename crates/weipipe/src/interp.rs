@@ -25,8 +25,8 @@
 
 use crate::setup::TrainSetup;
 use std::collections::HashMap;
-use wp_comm::{CommError, Communicator, Request};
-use wp_metrics::{Counter, Gauge, Hist, RankMetrics};
+use wp_comm::{CommError, Communicator, Probe, Request, Span};
+use wp_metrics::{Counter, Gauge};
 use wp_nn::block::{
     block_backward_data, block_backward_full, block_backward_recompute, block_backward_weight,
     block_forward, BPassCtx, BlockCtx,
@@ -39,7 +39,7 @@ use wp_nn::{ComponentState, TrainState};
 use wp_optim::{MasterWeights, Optimizer};
 use wp_sched::{MsgKey, MsgKind, OpKind, Schedule, Strategy, NO_MB};
 use wp_tensor::ops::RopeTable;
-use wp_trace::{RankTracer, SpanKind, NO_ID};
+use wp_trace::{SpanKind, NO_ID};
 
 /// A fully assembled model: `(embed, per-layer blocks, head)`.
 pub type AssembledModel = (Vec<f32>, Vec<Vec<f32>>, Vec<f32>);
@@ -71,6 +71,28 @@ fn tag_of(k: &MsgKey) -> u64 {
     assert!(chunk < 1 << 12, "chunk too large for tag encoding");
     assert!(round < 1 << 18, "round too large for tag encoding");
     (kind << 46) | (chunk << 34) | (mb << 18) | round
+}
+
+/// Close a compute op's span, tagged with its microbatch and chunk.
+fn end_compute(probe: &Probe, span: Span, mb: usize, chunk: usize) {
+    let mb = if mb >= NO_MB - 15 { NO_ID } else { mb as u32 };
+    probe.end(span, mb, chunk as u32, 0, 0);
+}
+
+/// One master-weight optimizer step, timed as an `OptimStep` span (inside
+/// the op's `Update` span, or in the iteration epilogue).
+fn optim_step(
+    probe: &Probe,
+    master: &mut MasterWeights,
+    opt: &mut dyn Optimizer,
+    working: &mut [f32],
+    grads: &[f32],
+    lr: f32,
+) {
+    let span = probe.start(SpanKind::OptimStep);
+    master.step(opt, working, grads, lr);
+    probe.end(span, NO_ID, NO_ID, 0, 0);
+    probe.set(Gauge::CurrentLr, lr as f64);
 }
 
 /// Saved forward state of one (microbatch × chunk).
@@ -552,8 +574,6 @@ impl RankRuntime {
 
     fn exec_update(&mut self, chunk: usize) {
         let lr = self.lr();
-        let tracer = self.comm.tracer().cloned();
-        let metrics = self.comm.metrics().cloned();
         if self.strategy == Strategy::Fsdp {
             let mut grads = self
                 .shard_grads
@@ -569,14 +589,7 @@ impl RankRuntime {
                     optim.build(shard.len()),
                 )
             });
-            master.step_observed(
-                opt.as_mut(),
-                shard,
-                &grads,
-                lr,
-                tracer.as_ref(),
-                metrics.as_ref(),
-            );
+            optim_step(self.comm.probe(), master, opt.as_mut(), shard, &grads, lr);
             return;
         }
         let key = self.weight_slot_key(&[], chunk, FLOW_FWD);
@@ -592,14 +605,7 @@ impl RankRuntime {
             .chunk_opt
             .entry(chunk)
             .or_insert_with(|| (MasterWeights::capture(slot, wire), optim.build(slot.len())));
-        master.step_observed(
-            opt.as_mut(),
-            slot,
-            &grads,
-            lr,
-            tracer.as_ref(),
-            metrics.as_ref(),
-        );
+        optim_step(self.comm.probe(), master, opt.as_mut(), slot, &grads, lr);
     }
 
     // ---- communication ops --------------------------------------------------
@@ -750,51 +756,6 @@ impl RankRuntime {
 
     // ---- driver --------------------------------------------------------------
 
-    /// The histogram a compute span's duration lands in. `BwdFull` and
-    /// `BwdData` are both "B" work; `BwdWeight` is the split-backward "W".
-    fn hist_for(kind: SpanKind) -> Hist {
-        match kind {
-            SpanKind::Fwd => Hist::FwdNs,
-            SpanKind::BwdFull | SpanKind::BwdData => Hist::BwdNs,
-            SpanKind::BwdWeight => Hist::WgradNs,
-            SpanKind::Update => Hist::UpdateNs,
-            other => unreachable!("not a compute op: {other:?}"),
-        }
-    }
-
-    /// Close a compute span on this rank's track and/or observe its duration
-    /// into the matching metrics histogram (no-op when neither is attached).
-    ///
-    /// When both sinks are attached the histogram observes the *identical*
-    /// duration the span records (returned by `end_span`), so the trace's
-    /// `busy_ns` equals the compute histograms' mass exactly — the
-    /// consistency suite asserts it. `t0` is from the tracer's clock when
-    /// tracing, else from the metrics clock.
-    fn observe_compute(
-        tracer: &Option<RankTracer>,
-        metrics: &Option<RankMetrics>,
-        kind: SpanKind,
-        t0: Option<u64>,
-        mb: usize,
-        chunk: usize,
-    ) {
-        match (tracer.as_ref(), t0) {
-            (Some(tr), Some(start)) => {
-                let mb = if mb >= NO_MB - 15 { NO_ID } else { mb as u32 };
-                let dur = tr.end_span(kind, start, mb, chunk as u32, 0, 0);
-                if let Some(m) = metrics {
-                    m.observe(Self::hist_for(kind), dur);
-                }
-            }
-            (None, Some(start)) => {
-                if let Some(m) = metrics {
-                    m.observe_since(Self::hist_for(kind), start);
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// Execute one iteration of the schedule.
     ///
     /// # Errors
@@ -811,46 +772,39 @@ impl RankRuntime {
         self.loss_sum = 0.0;
         self.loss_count = 0;
 
-        // One cheap clone of the rank's tracer and metrics handles up front:
-        // compute ops close their spans here, comm ops record inside wp-comm.
-        let tracer = self.comm.tracer().cloned();
-        let metrics = self.comm.metrics().cloned();
-        let iter_t0 = tracer.as_ref().map(|t| t.now_ns());
-        let iter_m0 = metrics.as_ref().map(|m| m.now_ns());
+        // One cheap clone of the rank's probe up front: compute ops close
+        // their spans here, comm ops record inside wp-comm.
+        let probe = self.comm.probe().clone();
+        let iter_span = probe.start(SpanKind::Iteration);
 
         let ops = schedule.ops[self.rank].clone();
         for op in &ops {
-            // Compute-op start stamp: tracer clock when tracing (so the
-            // metrics histogram can mirror the span exactly), else the
-            // metrics clock. `None` when the op is untimed.
-            let t0 = match (&tracer, &metrics) {
-                (Some(t), _) => Some(t.now_ns()),
-                (None, Some(m)) => Some(m.now_ns()),
-                (None, None) => None,
-            };
             match &op.kind {
                 OpKind::Fwd { mb, chunk } => {
+                    let span = probe.start(SpanKind::Fwd);
                     self.exec_fwd(*mb, *chunk, &op.needs, schedule.recompute);
-                    Self::observe_compute(&tracer, &metrics, SpanKind::Fwd, t0, *mb, *chunk);
-                    if let Some(m) = &metrics {
-                        m.incr(Counter::MicrobatchesFwd);
-                    }
+                    end_compute(&probe, span, *mb, *chunk);
+                    probe.incr(Counter::MicrobatchesFwd);
                 }
                 OpKind::BwdFull { mb, chunk } => {
+                    let span = probe.start(SpanKind::BwdFull);
                     self.exec_bwd_full(*mb, *chunk, &op.needs);
-                    Self::observe_compute(&tracer, &metrics, SpanKind::BwdFull, t0, *mb, *chunk);
+                    end_compute(&probe, span, *mb, *chunk);
                 }
                 OpKind::BwdData { mb, chunk } => {
+                    let span = probe.start(SpanKind::BwdData);
                     self.exec_bwd_data(*mb, *chunk, &op.needs);
-                    Self::observe_compute(&tracer, &metrics, SpanKind::BwdData, t0, *mb, *chunk);
+                    end_compute(&probe, span, *mb, *chunk);
                 }
                 OpKind::BwdWeight { mb, chunk } => {
+                    let span = probe.start(SpanKind::BwdWeight);
                     self.exec_bwd_weight(*mb, *chunk);
-                    Self::observe_compute(&tracer, &metrics, SpanKind::BwdWeight, t0, *mb, *chunk);
+                    end_compute(&probe, span, *mb, *chunk);
                 }
                 OpKind::Update { chunk } => {
+                    let span = probe.start(SpanKind::Update);
                     self.exec_update(*chunk);
-                    Self::observe_compute(&tracer, &metrics, SpanKind::Update, t0, NO_MB, *chunk);
+                    end_compute(&probe, span, NO_MB, *chunk);
                 }
                 OpKind::Send(k) => self.exec_send(k)?,
                 OpKind::Recv(k) => self.exec_recv(k)?,
@@ -886,37 +840,23 @@ impl RankRuntime {
                 optim.build(embed.len()),
             )
         });
-        master.step_observed(
-            opt.as_mut(),
-            embed,
-            &eg,
-            lr,
-            tracer.as_ref(),
-            metrics.as_ref(),
-        );
+        optim_step(&probe, master, opt.as_mut(), embed, &eg, lr);
         let head = &mut self.head;
         let (master, opt) = self
             .head_opt
             .get_or_insert_with(|| (MasterWeights::capture(head, wire), optim.build(head.len())));
-        master.step_observed(
-            opt.as_mut(),
-            head,
-            &hg,
-            lr,
-            tracer.as_ref(),
-            metrics.as_ref(),
-        );
+        optim_step(&probe, master, opt.as_mut(), head, &hg, lr);
 
         // Replicated-parameter gradient norm (embed + head, post-reduce,
         // unscaled) — a cheap per-iteration training-health signal. Computed
         // only when metered; a pure read, so it cannot perturb the result.
-        if let Some(m) = &metrics {
+        if probe.is_metered() {
             let sq: f64 = eg
                 .iter()
                 .chain(hg.iter())
                 .map(|&g| g as f64 * g as f64)
                 .sum();
-            m.set(Gauge::GradNorm, sq.sqrt());
+            probe.set(Gauge::GradNorm, sq.sqrt());
         }
 
         // Mean loss across ranks.
@@ -928,20 +868,14 @@ impl RankRuntime {
             "every microbatch must contribute exactly one loss"
         );
         // Outermost marker span wrapping the whole iteration (mb = iter).
-        if let (Some(tr), Some(t0)) = (tracer.as_ref(), iter_t0) {
-            tr.end_span(SpanKind::Iteration, t0, iter as u32, NO_ID, 0, 0);
-        }
+        let dur = probe.end(iter_span, iter as u32, NO_ID, 0, 0);
         let mean_loss = stats[0] / stats[1];
-        if let (Some(m), Some(start)) = (metrics.as_ref(), iter_m0) {
-            let dur = m.now_ns().saturating_sub(start);
-            m.observe(Hist::StepWallNs, dur);
-            m.incr(Counter::StepsCompleted);
-            let tokens = self.setup.tokens_per_iter() as u64;
-            m.add(Counter::TokensProcessed, tokens);
-            m.set(Gauge::Loss, mean_loss as f64);
-            if dur > 0 {
-                m.set(Gauge::TokensPerSec, tokens as f64 / (dur as f64 * 1e-9));
-            }
+        let tokens = self.setup.tokens_per_iter() as u64;
+        probe.incr(Counter::StepsCompleted);
+        probe.add(Counter::TokensProcessed, tokens);
+        probe.set(Gauge::Loss, mean_loss as f64);
+        if dur > 0 {
+            probe.set(Gauge::TokensPerSec, tokens as f64 / (dur as f64 * 1e-9));
         }
         Ok(mean_loss)
     }

@@ -1,6 +1,6 @@
 //! Acceptance tests for metrics through the full training stack: a real
 //! WeiPipe-Interleave run must populate every rank's counters, agree with
-//! the traffic meter per class and with the trace's busy time exactly —
+//! the traffic meter per class and with the trace's spans exactly —
 //! and be bit-invisible when disabled. Socket-backed variants are
 //! `#[ignore]`d; the transport-tcp CI job runs them with `-- --ignored`.
 
@@ -8,6 +8,7 @@ use weipipe::{
     build_schedule, run_distributed, run_rank, run_single, MetricsConfig, Strategy, TraceConfig,
     TrainSetup, TransportKind,
 };
+use wp_comm::probe::hist_of;
 use wp_comm::World;
 use wp_metrics::{Counter, Gauge, Hist, MetricsRegistry};
 
@@ -74,9 +75,12 @@ fn meter_matches_metrics(kind: TransportKind, p: usize, layers: usize, n: usize)
     }
 }
 
-/// With tracing and metrics side by side, the compute histograms are fed
-/// the exact durations the trace records, so the histogram mass equals the
-/// trace's `busy_ns` — per rank, not just in aggregate.
+/// With tracing and metrics side by side, one probe feeds every mirrored
+/// histogram the exact duration its span records: per rank and per
+/// histogram, `sum` and `count` equal the summed duration and the number of
+/// spans of the kinds that map to it — including `Iteration` ↔
+/// `StepWallNs` and `OptimStep` ↔ `OptimStepNs`. The compute histograms'
+/// mass therefore equals the trace's `busy_ns`.
 fn busy_equals_hist_mass(kind: TransportKind, p: usize, layers: usize, n: usize) {
     let setup = TrainSetup::tiny(layers, n)
         .with_transport(kind)
@@ -87,15 +91,33 @@ fn busy_equals_hist_mass(kind: TransportKind, p: usize, layers: usize, n: usize)
     let snap = out.metrics.as_ref().expect("metrics were enabled");
     assert_eq!(snap.world_size(), p);
     for track in &trace.tracks {
+        let r = track.rank;
+        assert_eq!(track.overwritten, 0, "rank {r}: trace ring overflowed");
+        for h in Hist::ALL {
+            let spans: Vec<_> = track
+                .spans
+                .iter()
+                .filter(|s| hist_of(s.kind) == Some(*h))
+                .collect();
+            let got = snap.ranks[r].hist(*h);
+            let span_ns: u64 = spans.iter().map(|s| s.dur_ns()).sum();
+            assert_eq!(got.sum, span_ns, "rank {r}: {h:?} sum != span mass");
+            assert_eq!(got.count, spans.len() as u64, "rank {r}: {h:?} count");
+        }
+        assert_eq!(
+            snap.ranks[r].hist(Hist::StepWallNs).count,
+            setup.iters as u64,
+            "rank {r}: one iteration span per step"
+        );
+        assert!(snap.ranks[r].hist(Hist::OptimStepNs).count > 0, "rank {r}");
         let hist_mass: u64 = [Hist::FwdNs, Hist::BwdNs, Hist::WgradNs, Hist::UpdateNs]
             .iter()
-            .map(|&h| snap.ranks[track.rank].hist(h).sum)
+            .map(|&h| snap.ranks[r].hist(h).sum)
             .sum();
         assert_eq!(
             track.busy_ns(),
             hist_mass,
-            "rank {}: trace busy_ns != compute histogram mass",
-            track.rank
+            "rank {r}: trace busy_ns != compute histogram mass"
         );
     }
     let busy: u64 = trace.tracks.iter().map(|t| t.busy_ns()).sum();
@@ -156,6 +178,12 @@ fn every_runtime_strategy_populates_the_registry() {
             assert!(
                 r.hist(Hist::OptimStepNs).count > 0,
                 "{strategy:?} rank {}: no optimizer timings",
+                r.rank
+            );
+            assert_eq!(
+                r.gauge(Gauge::CurrentLr),
+                setup.lr_at(1) as f64,
+                "{strategy:?} rank {}: learning-rate gauge",
                 r.rank
             );
             assert!(

@@ -218,11 +218,7 @@ fn straggler() {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let only = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let only = wp_bench::flag_value(&args, "--only");
     let run = |name: &str| only.as_deref().is_none_or(|o| o == name);
     if run("crossover") {
         crossover();

@@ -12,6 +12,7 @@
 //! figures --svg-dir out/  # also write SVG files
 //! ```
 
+use wp_bench::flag_value;
 use wp_sched::{build, PipelineSpec, Strategy};
 use wp_sim::experiments::fig5_bubble_vs_microbatches;
 use wp_sim::render::{ascii_timeline, svg_timeline};
@@ -34,16 +35,8 @@ fn schedule_figure(strategy: Strategy, n: usize) -> wp_sim::SimResult {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let which = args
-        .iter()
-        .position(|a| a == "--fig")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u32>().ok());
-    let svg_dir = args
-        .iter()
-        .position(|a| a == "--svg-dir")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let which: Option<u32> = flag_value(&args, "--fig").map(|v| v.parse().expect("--fig"));
+    let svg_dir = flag_value(&args, "--svg-dir");
 
     let figs = [
         (

@@ -23,22 +23,13 @@
 
 use wp_bench::ci::{self, Report};
 use wp_bench::drift::drift_report;
+use wp_bench::flag_value;
 use wp_sched::tune::{Candidate, GridScheduler, Scheduler, TuneSpace};
 use wp_sched::{build, validate, Strategy};
 use wp_sim::tune::DesOracle;
 use wp_sim::{simulate, ClusterSpec, CostModel, GpuSpec, ModelDims, SimOptions, SimResult};
 
 const BENCH: &str = "hier";
-
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 /// Build and simulate one candidate under the oracle's global-batch
 /// normalization, returning the full engine result (the tuner's
@@ -162,8 +153,9 @@ fn hier_point(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let out_dir = arg_value("--out").unwrap_or_else(|| "results".to_string());
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_dir = flag_value(&args, "--out").unwrap_or_else(|| "results".to_string());
     let mut report = Report::new(BENCH);
 
     println!(

@@ -9,15 +9,19 @@
 //!
 //! 1. **Off-path**: a metered run trains bit-identically (losses and every
 //!    assembled weight) to an unmetered one.
-//! 2. **Trace agreement**: with tracing and metrics both on, the compute
-//!    histograms' total mass equals the trace's summed `busy_ns` exactly —
-//!    both sides are fed the same measured durations.
+//! 2. **Trace agreement**: with tracing and metrics both on, every
+//!    mirrored histogram's `sum` and `count` equal its span kinds' summed
+//!    duration and span count, per rank — including `Iteration` ↔
+//!    `StepWallNs` and `OptimStep` ↔ `OptimStepNs` — so the compute
+//!    histograms' total mass equals the trace's summed `busy_ns` exactly.
+//!    One probe feeds both sides the same measured durations.
 //! 3. **Export validity**: the Prometheus and JSON exports of the world
 //!    snapshot pass their own validators and parse back bit-exactly.
 //!
 //! Exits non-zero (panics) on any violation.
 
 use weipipe::{run_distributed, MetricsConfig, Strategy, TraceConfig, TrainSetup};
+use wp_comm::probe::hist_of;
 use wp_metrics::{Counter, Hist};
 
 fn f32_bits_eq(a: &[f32], b: &[f32]) -> bool {
@@ -49,8 +53,9 @@ fn main() {
     }
     println!("    ok: metered run is bit-identical to the unmetered one");
 
-    // 2. Trace busy time == compute histogram mass, per rank and in total.
-    println!("2/3 trace busy_ns vs compute histogram mass…");
+    // 2. Span mass == histogram mass for every mirrored histogram, per
+    //    rank; hence busy time == compute histogram mass.
+    println!("2/3 trace spans vs mirrored histograms…");
     let both = run_distributed(
         Strategy::WeiPipeInterleave,
         p,
@@ -63,6 +68,21 @@ fn main() {
     let trace = both.trace.as_ref().expect("tracing was enabled");
     let snap = both.metrics.as_ref().expect("metrics were enabled");
     for track in &trace.tracks {
+        let r = track.rank;
+        assert_eq!(track.overwritten, 0, "rank {r}: trace ring overflowed");
+        for &h in Hist::ALL {
+            let (n, ns) = track
+                .spans
+                .iter()
+                .filter(|s| hist_of(s.kind) == Some(h))
+                .fold((0, 0), |(n, ns), s| (n + 1, ns + s.dur_ns()));
+            let got = snap.ranks[r].hist(h);
+            assert_eq!(
+                (got.count, got.sum),
+                (n, ns),
+                "rank {r}: {h:?} (count, sum) disagree with its spans"
+            );
+        }
         let hist_mass: u64 = [Hist::FwdNs, Hist::BwdNs, Hist::WgradNs, Hist::UpdateNs]
             .iter()
             .map(|&h| snap.ranks[track.rank].hist(h).sum)
@@ -76,7 +96,7 @@ fn main() {
     }
     let busy: u64 = trace.tracks.iter().map(|t| t.busy_ns()).sum();
     assert_eq!(busy, snap.compute_mass_ns(), "world totals disagree");
-    println!("    ok: {busy} ns of compute agree span-for-span across {p} ranks");
+    println!("    ok: every mirrored histogram agrees span-for-span across {p} ranks ({busy} ns of compute)");
 
     // 3. Both exports validate and round-trip bit-exactly.
     println!("3/3 export validity…");

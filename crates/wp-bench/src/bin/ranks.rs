@@ -68,9 +68,10 @@ use weipipe::{
     build_schedule, load_train_state, run_rank_elastic, save_train_state, CommConfig, FaultPlan,
     Membership, Strategy, TraceConfig, TrainSetup,
 };
+use wp_bench::flag_value;
 use wp_bench::ranks::{err_kind, parse_strategy, RankReport, ReportStatus};
 use wp_comm::tcp::{bind_localhost, LOCAL_ESTABLISH_TIMEOUT};
-use wp_comm::{TcpTransport, TrafficMeter, World};
+use wp_comm::{Probe, TcpTransport, TrafficMeter, World};
 use wp_metrics::{
     Counter, Gauge, Hist, MetricsConfig, MetricsRegistry, MetricsSnapshot, RankSnapshot,
 };
@@ -80,14 +81,6 @@ use wp_sim::{
     SimOptions,
 };
 use wp_trace::{RankTrack, Trace, TraceCollector};
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{name} needs a value"))
-            .clone()
-    })
-}
 
 /// Training configuration shared verbatim between the launcher, the
 /// workers, and the in-process comparison run — one parser, so all three
@@ -807,9 +800,9 @@ fn launcher_main(args: &[String]) -> i32 {
         // the re-shard duration (kill detection through re-formed world).
         let mut world = merge_world_metrics(&run1, ropts.ranks);
         let markers = MetricsRegistry::new(ropts.ranks);
-        let h = markers.handle(0);
-        h.incr(Counter::RecoveryEpochs);
-        h.observe(Hist::ReshardNs, reshard.as_nanos() as u64);
+        let probe = Probe::new(None, Some(markers.handle(0)));
+        probe.incr(Counter::RecoveryEpochs);
+        probe.observe(Hist::ReshardNs, reshard.as_nanos() as u64);
         world.merge_rank(markers.snapshot_rank(0));
         print_rollup(&world);
         println!(
@@ -925,7 +918,7 @@ fn print_rollup(world: &MetricsSnapshot) {
     println!(
         "metrics rollup: {} rank-steps (mean {:.2} ms), {} tokens, \
          {:.2} MiB p2p + {:.2} MiB collective sent, \
-         {} retries, {} timeouts, {} overflow-skipped",
+         {} retries, {} timeouts",
         world.total(Counter::StepsCompleted),
         mean_step_ms,
         world.total(Counter::TokensProcessed),
@@ -933,7 +926,6 @@ fn print_rollup(world: &MetricsSnapshot) {
         mib(world.total(Counter::CollBytesSent)),
         world.total(Counter::RecvRetries),
         world.total(Counter::RecvTimeouts),
-        world.total(Counter::OverflowSkipped),
     );
 }
 

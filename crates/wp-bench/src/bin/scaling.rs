@@ -5,16 +5,12 @@
 //! scaling --fig 7   # one
 //! ```
 
-use wp_bench::format_scaling;
+use wp_bench::{flag_value, format_scaling};
 use wp_sim::experiments::{fig6_weak_small, fig7_weak_large, fig8_strong_small, fig9_strong_large};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let which = args
-        .iter()
-        .position(|a| a == "--fig")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u32>().ok());
+    let which: Option<u32> = flag_value(&args, "--fig").map(|v| v.parse().expect("--fig"));
 
     if which.is_none() || which == Some(6) {
         println!(

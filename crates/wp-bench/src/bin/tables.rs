@@ -5,21 +5,13 @@
 //! tables --table 2  # one table
 //! ```
 
-use wp_bench::{format_table, table_csv};
+use wp_bench::{flag_value, format_table, table_csv};
 use wp_sim::experiments::{table2, table3, table4};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let which = args
-        .iter()
-        .position(|a| a == "--table")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u32>().ok());
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv-dir")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let which: Option<u32> = flag_value(&args, "--table").map(|v| v.parse().expect("--table"));
+    let csv_dir = flag_value(&args, "--csv-dir");
     let maybe_csv = |id: u32,
                      rows: &[(
         wp_sim::experiments::RowConfig,

@@ -17,19 +17,12 @@
 
 use weipipe::{run_distributed, Strategy, TraceConfig, TrainSetup};
 use wp_bench::drift::{drift_report, truncation_warning};
+use wp_bench::flag_value;
 use wp_sched::{build, PipelineSpec};
 use wp_sim::{
     measured_result, render::ascii_timeline, simulate, ClusterSpec, CostModel, GpuSpec, ModelDims,
     SimOptions,
 };
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{name} needs a value"))
-            .clone()
-    })
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -71,30 +71,16 @@ impl Report {
 
     /// Parse a report written by [`Self::to_json`].
     pub fn parse(json: &str) -> Result<Report, String> {
-        let mut p = Parser::new(json);
         let mut report = Report::default();
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
+        Parser::document(json, |p, key| {
+            match key {
                 "name" => report.name = p.string()?,
-                "metrics" => {
-                    for (k, v) in p.object_of_numbers()? {
-                        report.metrics.push((k, v));
-                    }
-                }
-                "notes" => {
-                    for (k, v) in p.object_of_strings()? {
-                        report.notes.push((k, v));
-                    }
-                }
+                "metrics" => report.metrics.extend(p.object_of_numbers()?),
+                "notes" => report.notes.extend(p.object_of_strings()?),
                 other => return Err(format!("unknown report key {other:?}")),
             }
-            if !p.comma_or_close('}')? {
-                break;
-            }
-        }
+            Ok(())
+        })?;
         Ok(report)
     }
 
@@ -150,6 +136,30 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parse `json` as one top-level object, handing each member's key to
+    /// `member` to parse its value. Anything but whitespace after the
+    /// closing brace is an error.
+    fn document(
+        json: &str,
+        mut member: impl FnMut(&mut Parser, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut p = Parser::new(json);
+        p.expect('{')?;
+        loop {
+            let key = p.string()?;
+            p.expect(':')?;
+            member(&mut p, &key)?;
+            if !p.comma_or_close('}')? {
+                break;
+            }
+        }
+        p.skip_ws();
+        match p.src.get(p.pos) {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing input at byte {}", p.pos)),
+        }
+    }
+
     fn skip_ws(&mut self) {
         while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
             self.pos += 1;
@@ -187,25 +197,27 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A string literal. Bytes are collected raw and decoded as UTF-8 once
+    /// at the closing quote, so multi-byte characters survive.
     fn string(&mut self) -> Result<String, String> {
         self.expect('"')?;
-        let mut out = String::new();
+        let mut out = Vec::new();
         loop {
             let c = *self.src.get(self.pos).ok_or("unterminated string")?;
             self.pos += 1;
             match c {
-                b'"' => return Ok(out),
+                b'"' => return String::from_utf8(out).map_err(|e| format!("bad UTF-8: {e}")),
                 b'\\' => {
                     let e = *self.src.get(self.pos).ok_or("unterminated escape")?;
                     self.pos += 1;
                     out.push(match e {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'n' => '\n',
+                        b'"' => b'"',
+                        b'\\' => b'\\',
+                        b'n' => b'\n',
                         other => return Err(format!("unsupported escape \\{}", other as char)),
                     });
                 }
-                c => out.push(c as char),
+                c => out.push(c),
             }
         }
     }
@@ -270,21 +282,15 @@ pub struct Floors {
 impl Floors {
     /// Parse `ci/bench_floors.json`.
     pub fn parse(json: &str) -> Result<Floors, String> {
-        let mut p = Parser::new(json);
         let mut floors = Floors::default();
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
+        Parser::document(json, |p, key| {
+            match key {
                 "min" => floors.min = p.object_of_numbers()?,
                 "max" => floors.max = p.object_of_numbers()?,
                 other => return Err(format!("unknown floors key {other:?}")),
             }
-            if !p.comma_or_close('}')? {
-                break;
-            }
-        }
+            Ok(())
+        })?;
         Ok(floors)
     }
 
@@ -383,6 +389,23 @@ mod tests {
         let mut r = Report::new("esc");
         r.note("msg", "a \"quoted\"\nline \\ backslash");
         assert_eq!(Report::parse(&r.to_json()).unwrap(), r);
+    }
+
+    #[test]
+    fn non_ascii_notes_round_trip() {
+        let mut r = Report::new("utf8");
+        r.note("unit", "µs ×2");
+        assert_eq!(Report::parse(&r.to_json()).unwrap(), r);
+    }
+
+    #[test]
+    fn trailing_input_after_the_document_is_rejected() {
+        let json = sample().to_json();
+        assert!(Report::parse(&format!("{json}  \n")).is_ok());
+        let err = Report::parse(&format!("{json}}}")).unwrap_err();
+        assert!(err.contains("trailing input"), "{err}");
+        assert!(Report::parse(&format!("{json}{json}")).is_err());
+        assert!(Floors::parse(r#"{ "min": {} } x"#).is_err());
     }
 
     #[test]

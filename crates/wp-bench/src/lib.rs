@@ -8,6 +8,21 @@ pub mod ranks;
 
 use wp_sim::experiments::{CellResult, RowConfig, ScalingPoint};
 
+/// The value following the flag `name` in `args`, or `None` when the flag
+/// is absent — the one flag parser every wp-bench binary shares.
+///
+/// # Panics
+/// Panics when the flag is the last argument or is followed by another
+/// `--flag`: a flag given without a value is a usage error, never a silent
+/// fallback to the default.
+pub fn flag_value(args: &[String], name: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Some(v.clone()),
+        _ => panic!("{name} needs a value"),
+    }
+}
+
 /// Render one table in the paper's layout (model config columns, one
 /// throughput column per strategy, memory columns).
 pub fn format_table(
@@ -134,6 +149,29 @@ mod tests {
     use wp_sched::Strategy;
     use wp_sim::experiments::{run_cell, RowConfig};
     use wp_sim::ClusterSpec;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flag_value_reads_the_following_argument() {
+        let a = args(&["bin", "--out", "dir", "--smoke"]);
+        assert_eq!(flag_value(&a, "--out").as_deref(), Some("dir"));
+        assert_eq!(flag_value(&a, "--seed"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "--out needs a value")]
+    fn flag_without_value_at_the_end_fails_loudly() {
+        flag_value(&args(&["bin", "--smoke", "--out"]), "--out");
+    }
+
+    #[test]
+    #[should_panic(expected = "--out needs a value")]
+    fn flag_followed_by_another_flag_fails_loudly() {
+        flag_value(&args(&["bin", "--out", "--smoke"]), "--out");
+    }
 
     #[test]
     fn table_formatting_includes_all_cells() {

@@ -38,18 +38,17 @@ use crate::error::CommError;
 use crate::fault::{FaultPlan, RankInjector};
 use crate::link::LinkModel;
 use crate::meter::{TrafficClass, TrafficMeter};
+use crate::probe::{Probe, Span};
 use crate::transport::{
     checksum_of, AbortCell, ChannelTransport, Frame, RecvPoll, RecvWait, Transport, TransportKind,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wp_metrics::{Counter, Gauge, MetricsRegistry, RankMetrics};
+use wp_metrics::{Counter, Gauge, MetricsRegistry};
 use wp_tensor::dtype::quantized_to_vec;
 use wp_tensor::DType;
-use wp_trace::{
-    fault_aux, recv_aux, send_aux, FaultFlags, RankTracer, SpanKind, TraceCollector, NO_ID,
-};
+use wp_trace::{fault_aux, recv_aux, send_aux, FaultFlags, SpanKind, TraceCollector, NO_ID};
 
 /// Tags ≥ this value are reserved for collectives.
 pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 48;
@@ -138,12 +137,11 @@ pub struct Communicator {
     /// getting a private wire. `None` until the link is first used (or
     /// always, for instant links).
     link_busy: Vec<Option<Instant>>,
-    /// Span recorder for this rank's track, when the world is traced.
-    tracer: Option<RankTracer>,
-    /// Metric recorder for this rank's slots, when the world is metered.
-    /// Byte/message counters mirror the [`TrafficMeter`] calls exactly —
-    /// the consistency suite asserts equality per class.
-    metrics: Option<RankMetrics>,
+    /// This rank's instrumentation: trace track and metric slots, each
+    /// present when the world was built with it. Byte/message counters
+    /// mirror the [`TrafficMeter`] calls exactly — the consistency suite
+    /// asserts equality per class.
+    probe: Probe,
     /// Whether this rank has already forwarded the world's abort cause to
     /// its peers (see [`Communicator::standing_cause`]).
     abort_relayed: bool,
@@ -179,7 +177,7 @@ enum ReqInner {
     Recv {
         src: usize,
         tag: u64,
-        t0: Option<u64>,
+        wait: Span,
         depth: usize,
     },
 }
@@ -261,20 +259,13 @@ impl Communicator {
         &self.config
     }
 
-    /// This rank's span recorder, when the world was built with a
-    /// [`TraceCollector`] (see [`WorldBuilder::trace`]). Runtimes layered on
-    /// top clone this handle to record their own compute spans on the same
-    /// track.
-    pub fn tracer(&self) -> Option<&RankTracer> {
-        self.tracer.as_ref()
-    }
-
-    /// This rank's metric recorder, when the world was built with a
-    /// [`MetricsRegistry`] (see [`WorldBuilder::metrics`]). Runtimes layered
-    /// on top clone this handle to record their own step/compute metrics in
-    /// the same rank's slots.
-    pub fn metrics(&self) -> Option<&RankMetrics> {
-        self.metrics.as_ref()
+    /// This rank's instrumentation handle, recording into the
+    /// [`TraceCollector`] and [`MetricsRegistry`] the world was built with
+    /// (see [`WorldBuilder::trace`] and [`WorldBuilder::metrics`]).
+    /// Runtimes layered on top clone it to record their own spans and
+    /// metrics on the same track and slots, on the same clock.
+    pub fn probe(&self) -> &Probe {
+        &self.probe
     }
 
     /// Whether an arriving frame belongs to another configuration epoch.
@@ -286,19 +277,15 @@ impl Communicator {
         if msg.epoch == self.epoch {
             return false;
         }
-        if let Some(m) = &self.metrics {
-            m.incr(Counter::StaleFramesDropped);
-        }
+        self.probe.incr(Counter::StaleFramesDropped);
         true
     }
 
     /// Sample the reorder-buffer depth for `src` into the depth gauges.
     fn note_reorder_depth(&self, src: usize) {
-        if let Some(m) = &self.metrics {
-            let d = self.pending[src].len() as f64;
-            m.set(Gauge::ReorderDepth, d);
-            m.set_max(Gauge::ReorderDepthMax, d);
-        }
+        let d = self.pending[src].len() as f64;
+        self.probe.set(Gauge::ReorderDepth, d);
+        self.probe.set_max(Gauge::ReorderDepthMax, d);
     }
 
     /// Record a fatal failure: poison the world so every other rank unwinds.
@@ -353,20 +340,16 @@ impl Communicator {
             if inj.op_kills_rank() {
                 let e = CommError::PeerDead { rank: self.rank };
                 self.meter.record_faults(self.rank, 1);
-                if let Some(m) = &self.metrics {
-                    m.incr(Counter::FaultsInjected);
-                }
-                if let Some(tr) = self.tracer.as_ref() {
-                    tr.instant(
-                        SpanKind::Fault,
-                        fault_aux(FaultFlags {
-                            delay: false,
-                            hold: false,
-                            corrupt: false,
-                            dead: true,
-                        }),
-                    );
-                }
+                self.probe.incr(Counter::FaultsInjected);
+                self.probe.instant(
+                    SpanKind::Fault,
+                    fault_aux(FaultFlags {
+                        delay: false,
+                        hold: false,
+                        corrupt: false,
+                        dead: true,
+                    }),
+                );
                 self.fail(&e);
                 return Err(e);
             }
@@ -430,22 +413,14 @@ impl Communicator {
         dtype: DType,
         class: TrafficClass,
     ) -> Result<(), CommError> {
-        let t0 = self.tracer.as_ref().map(|t| t.now_ns());
+        let span = self.probe.start(SpanKind::Send);
         let r = self.send_inner(dst, tag, data, dtype, class);
         if r.is_ok() {
-            if let (Some(tr), Some(start)) = (self.tracer.as_ref(), t0) {
-                // Quantization preserves length, so the wire size is
-                // recomputable here without threading it out of send_inner.
-                let bytes = (data.len() * dtype.size_bytes()) as u64;
-                tr.end_span(
-                    SpanKind::Send,
-                    start,
-                    NO_ID,
-                    NO_ID,
-                    bytes,
-                    send_aux(dst, class == TrafficClass::Collective),
-                );
-            }
+            // Quantization preserves length, so the wire size is
+            // recomputable here without threading it out of send_inner.
+            let bytes = (data.len() * dtype.size_bytes()) as u64;
+            let aux = send_aux(dst, class == TrafficClass::Collective);
+            self.probe.end(span, NO_ID, NO_ID, bytes, aux);
         }
         r
     }
@@ -466,18 +441,12 @@ impl Communicator {
         let payload = quantized_to_vec(data, dtype);
         let bytes = (payload.len() * dtype.size_bytes()) as u64;
         self.meter.record_send(self.rank, bytes, class);
-        if let Some(m) = &self.metrics {
-            match class {
-                TrafficClass::P2p => {
-                    m.add(Counter::P2pBytesSent, bytes);
-                    m.incr(Counter::P2pMsgsSent);
-                }
-                TrafficClass::Collective => {
-                    m.add(Counter::CollBytesSent, bytes);
-                    m.incr(Counter::CollMsgsSent);
-                }
-            }
-        }
+        let (bytes_sent, msgs_sent) = match class {
+            TrafficClass::P2p => (Counter::P2pBytesSent, Counter::P2pMsgsSent),
+            TrafficClass::Collective => (Counter::CollBytesSent, Counter::CollMsgsSent),
+        };
+        self.probe.add(bytes_sent, bytes);
+        self.probe.incr(msgs_sent);
         let mut deliver_at = if self.link.is_instant() {
             None
         } else {
@@ -500,20 +469,16 @@ impl Communicator {
             let f = inj.on_send(dst);
             if f.injected > 0 {
                 self.meter.record_faults(self.rank, f.injected);
-                if let Some(m) = &self.metrics {
-                    m.add(Counter::FaultsInjected, f.injected);
-                }
-                if let Some(tr) = self.tracer.as_ref() {
-                    tr.instant(
-                        SpanKind::Fault,
-                        fault_aux(FaultFlags {
-                            delay: !f.extra_delay.is_zero(),
-                            hold: f.hold,
-                            corrupt: f.corrupt,
-                            dead: false,
-                        }),
-                    );
-                }
+                self.probe.add(Counter::FaultsInjected, f.injected);
+                self.probe.instant(
+                    SpanKind::Fault,
+                    fault_aux(FaultFlags {
+                        delay: !f.extra_delay.is_zero(),
+                        hold: f.hold,
+                        corrupt: f.corrupt,
+                        dead: false,
+                    }),
+                );
             }
             if !f.extra_delay.is_zero() {
                 deliver_at = Some(deliver_at.unwrap_or_else(Instant::now) + f.extra_delay);
@@ -599,7 +564,7 @@ impl Communicator {
                 // Trace bookkeeping: the blocked-wait span starts when the
                 // receive is posted, and the queue depth recorded is the
                 // reorder-buffer depth observed at post time.
-                t0: self.tracer.as_ref().map(|t| t.now_ns()),
+                wait: self.probe.start(SpanKind::RecvWait),
                 depth: self.pending[src].len(),
             },
         }
@@ -617,10 +582,10 @@ impl Communicator {
             ReqInner::Recv {
                 src,
                 tag,
-                t0,
+                wait,
                 depth,
             } => self
-                .complete_recv(src, tag, t0, depth)
+                .complete_recv(src, tag, wait, depth)
                 .map(Completion::Received),
         }
     }
@@ -729,13 +694,13 @@ impl Communicator {
 
     /// The engine behind [`wait`](Self::wait) for receive requests: one
     /// fault-plan operation, then match against the reorder buffer and poll
-    /// the inbox under the configured timeout policy. `t0`/`depth` are the
+    /// the inbox under the configured timeout policy. `wait`/`depth` are the
     /// trace bookkeeping captured when the receive was posted.
     fn complete_recv(
         &mut self,
         src: usize,
         tag: u64,
-        t0: Option<u64>,
+        wait: Span,
         depth: usize,
     ) -> Result<Vec<f32>, CommError> {
         self.precheck()?;
@@ -743,7 +708,7 @@ impl Communicator {
         // Check the reorder buffer first.
         if let Some(pos) = self.pending[src].iter().position(|m| m.tag == tag) {
             let msg = self.pending[src].remove(pos).expect("position just found");
-            return Ok(self.deliver(src, depth, t0, msg));
+            return Ok(self.deliver(src, depth, wait, msg));
         }
         let started = Instant::now();
         let mut window = self.config.recv_timeout;
@@ -771,7 +736,7 @@ impl Communicator {
                             return Err(e);
                         }
                         if msg.tag == tag {
-                            return Ok(self.deliver(src, depth, t0, msg));
+                            return Ok(self.deliver(src, depth, wait, msg));
                         }
                         self.pending[src].push_back(msg);
                         self.note_reorder_depth(src);
@@ -793,16 +758,12 @@ impl Communicator {
                     tag,
                     waited_ms: started.elapsed().as_millis() as u64,
                 };
-                if let Some(m) = &self.metrics {
-                    m.incr(Counter::RecvTimeouts);
-                }
+                self.probe.incr(Counter::RecvTimeouts);
                 self.fail(&e);
                 return Err(e);
             }
             attempt += 1;
-            if let Some(m) = &self.metrics {
-                m.incr(Counter::RecvRetries);
-            }
+            self.probe.incr(Counter::RecvRetries);
             window = window.mul_f64(self.config.backoff.max(1.0));
         }
     }
@@ -815,9 +776,8 @@ impl Communicator {
             if at > now {
                 let stall = at - now;
                 std::thread::sleep(stall);
-                if let Some(m) = &self.metrics {
-                    m.add(Counter::PacingStallNs, stall.as_nanos() as u64);
-                }
+                self.probe
+                    .add(Counter::PacingStallNs, stall.as_nanos() as u64);
             }
         }
     }
@@ -825,33 +785,21 @@ impl Communicator {
     /// Consume a matched message: charge the receive-side meter, close the
     /// blocked-wait span (post → match), pace out the link-model transfer
     /// under its own span (match → fully arrived), and hand back the payload.
-    fn deliver(&mut self, src: usize, depth: usize, t0: Option<u64>, msg: Frame) -> Vec<f32> {
-        let class = if msg.collective {
-            TrafficClass::Collective
+    fn deliver(&mut self, src: usize, depth: usize, wait: Span, msg: Frame) -> Vec<f32> {
+        let (class, bytes_recv) = if msg.collective {
+            (TrafficClass::Collective, Counter::CollBytesRecv)
         } else {
-            TrafficClass::P2p
+            (TrafficClass::P2p, Counter::P2pBytesRecv)
         };
         let bytes = msg.wire_bytes();
         self.meter.record_recv(self.rank, bytes, class);
-        if let Some(m) = &self.metrics {
-            match class {
-                TrafficClass::P2p => m.add(Counter::P2pBytesRecv, bytes),
-                TrafficClass::Collective => m.add(Counter::CollBytesRecv, bytes),
-            }
-            m.incr(Counter::MsgsRecv);
-        }
-        match self.tracer.as_ref() {
-            Some(tr) => {
-                let aux = recv_aux(src, depth);
-                if let Some(start) = t0 {
-                    tr.end_span(SpanKind::RecvWait, start, NO_ID, NO_ID, bytes, aux);
-                }
-                let x0 = tr.now_ns();
-                self.pace(&msg);
-                tr.end_span(SpanKind::RecvXfer, x0, NO_ID, NO_ID, bytes, aux);
-            }
-            None => self.pace(&msg),
-        }
+        self.probe.add(bytes_recv, bytes);
+        self.probe.incr(Counter::MsgsRecv);
+        let aux = recv_aux(src, depth);
+        self.probe.end(wait, NO_ID, NO_ID, bytes, aux);
+        let xfer = self.probe.start(SpanKind::RecvXfer);
+        self.pace(&msg);
+        self.probe.end(xfer, NO_ID, NO_ID, bytes, aux);
         msg.data
     }
 
@@ -921,16 +869,15 @@ impl Communicator {
         kind: SpanKind,
         f: impl FnOnce(&mut Self) -> Result<T, CommError>,
     ) -> Result<T, CommError> {
-        let Some(t0) = self.tracer.as_ref().map(|t| t.now_ns()) else {
+        let span = self.probe.start(kind);
+        if !span.is_recording() {
             return f(self);
-        };
+        }
         let before = self.meter.rank(self.rank).collective_bytes;
         let r = f(self);
         if r.is_ok() {
             let bytes = self.meter.rank(self.rank).collective_bytes - before;
-            if let Some(tr) = self.tracer.as_ref() {
-                tr.end_span(kind, t0, NO_ID, NO_ID, bytes, 0);
-            }
+            self.probe.end(span, NO_ID, NO_ID, bytes, 0);
         }
         r
     }
@@ -1281,9 +1228,12 @@ impl WorldBuilder {
         let rank = transport.rank();
         let p = transport.world_size();
         let abort = transport.abort_cell().clone();
-        let metrics = self.metrics.as_ref().map(|reg| reg.handle(rank));
-        if let Some(m) = &metrics {
-            transport.instrument(m.clone());
+        let probe = Probe::new(
+            self.trace.as_ref().map(|tc| tc.tracer(rank)),
+            self.metrics.as_ref().map(|reg| reg.handle(rank)),
+        );
+        if probe.is_metered() {
+            transport.instrument(probe.clone());
         }
         Communicator {
             rank,
@@ -1301,8 +1251,7 @@ impl WorldBuilder {
                 .map(|plan| RankInjector::new(plan, rank, p)),
             held: (0..p).map(|_| None).collect(),
             link_busy: (0..p).map(|_| None).collect(),
-            tracer: self.trace.as_ref().map(|tc| tc.tracer(rank)),
-            metrics,
+            probe,
             abort_relayed: false,
             epoch: self.epoch,
         }
@@ -1447,27 +1396,6 @@ impl World {
             epoch: 0,
         }
     }
-
-    /// Create `p` communicators over instant links.
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new(p: usize) -> Vec<Communicator> {
-        Self::builder(p).build()
-    }
-
-    /// Create `p` communicators whose deliveries are paced by `link`.
-    pub fn with_links(p: usize, link: LinkModel) -> Vec<Communicator> {
-        Self::builder(p).link(link).build()
-    }
-
-    /// Run one closure per rank on its own OS thread and collect the results
-    /// in rank order. Panics in any rank propagate.
-    pub fn run<T, F>(p: usize, link: LinkModel, f: F) -> (Vec<T>, TrafficMeter)
-    where
-        T: Send,
-        F: Fn(Communicator) -> T + Send + Sync,
-    {
-        Self::builder(p).link(link).run(f)
-    }
 }
 
 #[cfg(test)]
@@ -1476,7 +1404,7 @@ mod tests {
 
     #[test]
     fn p2p_roundtrip() {
-        let (vals, _) = World::run(2, LinkModel::instant(), |mut c| {
+        let (vals, _) = World::builder(2).run(|mut c| {
             if c.rank() == 0 {
                 c.send(1, 7, &[1.0, 2.0, 3.0], DType::F32).unwrap();
                 0.0
@@ -1489,7 +1417,7 @@ mod tests {
 
     #[test]
     fn tag_matching_out_of_order() {
-        let (vals, _) = World::run(2, LinkModel::instant(), |mut c| {
+        let (vals, _) = World::builder(2).run(|mut c| {
             if c.rank() == 0 {
                 c.send(1, 1, &[10.0], DType::F32).unwrap();
                 c.send(1, 2, &[20.0], DType::F32).unwrap();
@@ -1508,7 +1436,7 @@ mod tests {
 
     #[test]
     fn fp16_wire_quantizes() {
-        let (vals, meter) = World::run(2, LinkModel::instant(), |mut c| {
+        let (vals, meter) = World::builder(2).run(|mut c| {
             if c.rank() == 0 {
                 c.send(1, 0, &[1.0 + 2f32.powi(-13)], DType::F16).unwrap();
                 0.0
@@ -1522,7 +1450,7 @@ mod tests {
 
     #[test]
     fn ring_exchange_rotates() {
-        let (vals, _) = World::run(4, LinkModel::instant(), |mut c| {
+        let (vals, _) = World::builder(4).run(|mut c| {
             let mine = [c.rank() as f32];
             c.ring_exchange(9, &mine, DType::F32).unwrap()[0]
         });
@@ -1532,7 +1460,7 @@ mod tests {
     #[test]
     fn all_reduce_sums_everywhere() {
         for p in [1usize, 2, 3, 4, 7] {
-            let (vals, _) = World::run(p, LinkModel::instant(), |mut c| {
+            let (vals, _) = World::builder(p).run(|mut c| {
                 let mut buf: Vec<f32> = (0..10).map(|i| (c.rank() * 10 + i) as f32).collect();
                 c.all_reduce_sum(&mut buf, DType::F32).unwrap();
                 buf
@@ -1551,7 +1479,7 @@ mod tests {
         // n not divisible by p exercises the uneven chunking.
         let p = 4;
         let n = 13;
-        let (vals, _) = World::run(p, LinkModel::instant(), |mut c| {
+        let (vals, _) = World::builder(p).run(|mut c| {
             let mut buf = vec![(c.rank() + 1) as f32; n];
             c.all_reduce_sum(&mut buf, DType::F32).unwrap();
             buf
@@ -1565,7 +1493,7 @@ mod tests {
     fn reduce_scatter_gives_owned_chunk() {
         let p = 3;
         let n = 7;
-        let (vals, _) = World::run(p, LinkModel::instant(), |mut c| {
+        let (vals, _) = World::builder(p).run(|mut c| {
             let buf: Vec<f32> = (0..n).map(|i| (i * (c.rank() + 1)) as f32).collect();
             c.reduce_scatter_sum(&buf, DType::F32).unwrap()
         });
@@ -1579,7 +1507,7 @@ mod tests {
     #[test]
     fn all_gather_concatenates_in_rank_order() {
         let p = 4;
-        let (vals, _) = World::run(p, LinkModel::instant(), |mut c| {
+        let (vals, _) = World::builder(p).run(|mut c| {
             let chunk = vec![c.rank() as f32; 3];
             c.all_gather(&chunk, DType::F32).unwrap()
         });
@@ -1591,7 +1519,7 @@ mod tests {
 
     #[test]
     fn broadcast_from_nonzero_root() {
-        let (vals, _) = World::run(5, LinkModel::instant(), |mut c| {
+        let (vals, _) = World::builder(5).run(|mut c| {
             let mut buf = if c.rank() == 2 {
                 vec![42.0, 7.0]
             } else {
@@ -1609,7 +1537,7 @@ mod tests {
     fn all_reduce_traffic_matches_ring_formula() {
         let p = 4;
         let n = 1024; // divisible by p
-        let (_, meter) = World::run(p, LinkModel::instant(), |mut c| {
+        let (_, meter) = World::builder(p).run(|mut c| {
             let mut buf = vec![1.0f32; n];
             c.all_reduce_sum(&mut buf, DType::F32).unwrap();
         });
@@ -1628,7 +1556,7 @@ mod tests {
             latency_s: 0.0,
         };
         let start = Instant::now();
-        let (_, _) = World::run(2, slow, |mut c| {
+        let (_, _) = World::builder(2).link(slow).run(|mut c| {
             if c.rank() == 0 {
                 c.send(1, 0, &vec![0.0f32; 250_000], DType::F32).unwrap();
             } else {
@@ -1652,7 +1580,7 @@ mod tests {
             latency_s: 0.0,
         };
         let start = Instant::now();
-        World::run(2, slow, |mut c| {
+        World::builder(2).link(slow).run(|mut c| {
             if c.rank() == 0 {
                 c.send(1, 0, &vec![0.0f32; 250_000], DType::F32).unwrap();
                 c.send(1, 1, &vec![0.0f32; 250_000], DType::F32).unwrap();
@@ -1673,7 +1601,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let before = AtomicUsize::new(0);
         let violated = AtomicUsize::new(0);
-        World::run(4, LinkModel::instant(), |mut c| {
+        World::builder(4).run(|mut c| {
             before.fetch_add(1, Ordering::SeqCst);
             c.barrier().unwrap();
             if before.load(Ordering::SeqCst) != 4 {
@@ -1685,7 +1613,7 @@ mod tests {
 
     #[test]
     fn irecv_wait_pairs_with_send() {
-        let (vals, _) = World::run(2, LinkModel::instant(), |mut c| {
+        let (vals, _) = World::builder(2).run(|mut c| {
             if c.rank() == 0 {
                 c.send(1, 5, &[8.0], DType::F32).unwrap();
                 0.0
@@ -1700,7 +1628,7 @@ mod tests {
 
     #[test]
     fn isend_completes_at_creation() {
-        let (vals, meter) = World::run(2, LinkModel::instant(), |mut c| {
+        let (vals, meter) = World::builder(2).run(|mut c| {
             if c.rank() == 0 {
                 let req = c.isend(1, 3, &[4.0, 5.0], DType::F32).unwrap();
                 assert!(!req.is_recv());
@@ -1723,7 +1651,7 @@ mod tests {
     fn test_polls_without_consuming() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let sent = AtomicBool::new(false);
-        let (vals, _) = World::run(2, LinkModel::instant(), |mut c| {
+        let (vals, _) = World::builder(2).run(|mut c| {
             if c.rank() == 0 {
                 // Give rank 1 time to observe "not yet arrived".
                 std::thread::sleep(Duration::from_millis(20));
@@ -1756,7 +1684,7 @@ mod tests {
             bandwidth_bps: 100e6,
             latency_s: 0.0,
         };
-        let (_, _) = World::run(2, slow, |mut c| {
+        let (_, _) = World::builder(2).link(slow).run(|mut c| {
             if c.rank() == 0 {
                 c.send(1, 0, &vec![0.0f32; 250_000], DType::F32).unwrap();
             } else {
@@ -1778,7 +1706,7 @@ mod tests {
     #[test]
     fn wait_all_completes_mixed_batches_in_order() {
         let p = 4;
-        let (outs, _) = World::run(p, LinkModel::instant(), |mut c| {
+        let (outs, _) = World::builder(p).run(|mut c| {
             let r = c.rank() as f32;
             let next = c.next_rank();
             let prev = c.prev_rank();
@@ -1857,7 +1785,7 @@ mod tests {
         // both directions; the batched form must complete without deadlock
         // and deliver in posting order.
         let p = 4;
-        let (outs, _) = World::run(p, LinkModel::instant(), |mut c| {
+        let (outs, _) = World::builder(p).run(|mut c| {
             let r = c.rank() as f32;
             let fwd = [r];
             let bwd = [r + 100.0];
@@ -1880,7 +1808,7 @@ mod tests {
 
     #[test]
     fn reserved_tags_rejected() {
-        let mut comms = World::new(2);
+        let mut comms = World::builder(2).build();
         let mut c = comms.remove(0);
         let err = c
             .send(1, COLLECTIVE_TAG_BASE, &[0.0], DType::F32)
@@ -1924,7 +1852,7 @@ mod tests {
     #[test]
     fn recv_side_bytes_mirror_send_side() {
         let p = 4;
-        let (_, meter) = World::run(p, LinkModel::instant(), |mut c| {
+        let (_, meter) = World::builder(p).run(|mut c| {
             let mine = vec![c.rank() as f32; 8];
             c.ring_exchange(1, &mine, DType::F32).unwrap();
         });
@@ -2016,9 +1944,9 @@ mod tests {
 
     #[test]
     fn untraced_world_records_nothing() {
-        let (_, _) = World::run(2, LinkModel::instant(), |mut c| {
-            assert!(c.tracer().is_none());
-            assert!(c.metrics().is_none());
+        let (_, _) = World::builder(2).run(|mut c| {
+            assert!(!c.probe().is_metered());
+            assert!(!c.probe().start(SpanKind::Iteration).is_recording());
             let mut buf = [0.0f32; 2];
             c.all_reduce_sum(&mut buf, DType::F32).unwrap();
         });

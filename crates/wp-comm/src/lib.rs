@@ -16,11 +16,11 @@
 //! the real (non-simulated) runtime.
 //!
 //! ```
-//! use wp_comm::{World, LinkModel};
+//! use wp_comm::World;
 //! use wp_tensor::DType;
 //!
 //! // Sum a vector across 4 ranks with the ring all-reduce.
-//! let (results, meter) = World::run(4, LinkModel::instant(), |mut comm| {
+//! let (results, meter) = World::builder(4).run(|mut comm| {
 //!     let mut buf = vec![comm.rank() as f32; 8];
 //!     comm.all_reduce_sum(&mut buf, DType::F32).unwrap();
 //!     buf[0]
@@ -37,6 +37,7 @@ pub mod fault;
 pub mod link;
 pub mod membership;
 pub mod meter;
+pub mod probe;
 pub mod tcp;
 pub mod transport;
 
@@ -46,5 +47,6 @@ pub use fault::FaultPlan;
 pub use link::LinkModel;
 pub use membership::{agree_membership, Membership};
 pub use meter::{RankTraffic, TrafficClass, TrafficMeter};
+pub use probe::{Probe, Span};
 pub use tcp::TcpTransport;
 pub use transport::{AbortCell, Frame, Transport, TransportKind};

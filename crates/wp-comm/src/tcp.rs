@@ -46,6 +46,7 @@
 //! unblock the readers.
 
 use crate::error::CommError;
+use crate::probe::Probe;
 use crate::transport::{AbortCell, Frame, RecvPoll, RecvWait, Transport, TransportClosed};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -54,15 +55,15 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError}
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wp_metrics::{Counter, Gauge, RankMetrics};
+use wp_metrics::{Counter, Gauge};
 use wp_tensor::dtype::{bf16_bits_to_f32, f16_bits_to_f32, f32_to_f16_bits};
 use wp_tensor::DType;
 
-/// Metrics handle shared with the per-peer reader/writer threads. The
-/// threads spawn at establish time, before any `instrument` call, so they
-/// watch a `OnceLock` instead of owning the handle directly; until (unless)
-/// a handle is attached, every probe is one relaxed load.
-type MetricsCell = Arc<OnceLock<RankMetrics>>;
+/// Probe shared with the per-peer reader/writer threads. The threads spawn
+/// at establish time, before any `instrument` call, so they watch a
+/// `OnceLock` instead of owning the probe directly; until (unless) a probe
+/// is attached, every site is one relaxed load.
+type ProbeCell = Arc<OnceLock<Probe>>;
 
 const MAGIC: u32 = 0x5750_5452; // "WPTR"
 /// Version 2 added the per-frame configuration epoch and the
@@ -374,7 +375,7 @@ pub struct TcpTransport {
     /// deliberate rather than a peer crash.
     closing: Arc<AtomicBool>,
     /// Shared with the reader/writer threads; armed by [`Transport::instrument`].
-    metrics: MetricsCell,
+    probe: ProbeCell,
     shut: bool,
 }
 
@@ -458,7 +459,7 @@ impl TcpTransport {
 
         let abort = Arc::new(AbortCell::default());
         let closing = Arc::new(AtomicBool::new(false));
-        let metrics: MetricsCell = Arc::new(OnceLock::new());
+        let probe: ProbeCell = Arc::new(OnceLock::new());
         let mut links = Vec::with_capacity(world);
         let mut inbox = Vec::with_capacity(world);
         for (peer, slot) in streams.into_iter().enumerate() {
@@ -476,17 +477,15 @@ impl TcpTransport {
             let writer = {
                 let sock = sock.try_clone()?;
                 let depth = depth.clone();
-                let metrics = metrics.clone();
-                std::thread::spawn(move || writer_loop(sock, cmd_rx, depth, metrics))
+                let probe = probe.clone();
+                std::thread::spawn(move || writer_loop(sock, cmd_rx, depth, probe))
             };
             let reader = {
                 let sock = sock.try_clone()?;
                 let abort = abort.clone();
                 let closing = closing.clone();
-                let metrics = metrics.clone();
-                std::thread::spawn(move || {
-                    reader_loop(sock, peer, frame_tx, abort, closing, metrics)
-                })
+                let probe = probe.clone();
+                std::thread::spawn(move || reader_loop(sock, peer, frame_tx, abort, closing, probe))
             };
             links.push(Some(PeerLink {
                 cmd: cmd_tx,
@@ -504,7 +503,7 @@ impl TcpTransport {
             links,
             inbox,
             closing,
-            metrics,
+            probe,
             shut: false,
         })
     }
@@ -530,10 +529,8 @@ impl TcpTransport {
             // goodbye would deadlock that join.
             let _ = link.enqueue(WriterCmd::Goodbye);
         }
-        if relays > 0 {
-            if let Some(m) = self.metrics.get() {
-                m.add(Counter::TcpAbortRelays, relays);
-            }
+        if let Some(p) = self.probe.get() {
+            p.add(Counter::TcpAbortRelays, relays);
         }
         for link in self.links.iter_mut().flatten() {
             if let Some(w) = link.writer.take() {
@@ -568,9 +565,9 @@ impl Transport for TcpTransport {
         let depth = link
             .enqueue(WriterCmd::Data(frame))
             .map_err(|()| TransportClosed)?;
-        if let Some(m) = self.metrics.get() {
-            m.set(Gauge::TcpSendQueueDepth, depth as f64);
-            m.set_max(Gauge::TcpSendQueueDepthMax, depth as f64);
+        if let Some(p) = self.probe.get() {
+            p.set(Gauge::TcpSendQueueDepth, depth as f64);
+            p.set_max(Gauge::TcpSendQueueDepthMax, depth as f64);
         }
         Ok(())
     }
@@ -601,17 +598,15 @@ impl Transport for TcpTransport {
                 relays += 1;
             }
         }
-        if relays > 0 {
-            if let Some(m) = self.metrics.get() {
-                m.add(Counter::TcpAbortRelays, relays);
-            }
+        if let Some(p) = self.probe.get() {
+            p.add(Counter::TcpAbortRelays, relays);
         }
     }
 
-    fn instrument(&mut self, metrics: RankMetrics) {
-        // First attach wins; the reader/writer threads pick the handle up
+    fn instrument(&mut self, probe: Probe) {
+        // First attach wins; the reader/writer threads pick the probe up
         // on their next frame.
-        let _ = self.metrics.set(metrics);
+        let _ = self.probe.set(probe);
     }
 
     fn shutdown(&mut self) {
@@ -648,7 +643,7 @@ fn writer_loop(
     mut sock: TcpStream,
     cmd_rx: Receiver<WriterCmd>,
     depth: Arc<AtomicU64>,
-    metrics: MetricsCell,
+    probe: ProbeCell,
 ) {
     let mut buf = Vec::new();
     while let Ok(cmd) = cmd_rx.recv() {
@@ -666,8 +661,8 @@ fn writer_loop(
                     // next send reports TransportClosed (→ PeerDead).
                     return;
                 }
-                if let Some(m) = metrics.get() {
-                    m.incr(Counter::TcpDataFramesSent);
+                if let Some(p) = probe.get() {
+                    p.incr(Counter::TcpDataFramesSent);
                 }
             }
             WriterCmd::Abort(origin, err) => {
@@ -681,14 +676,14 @@ fn writer_loop(
                 if write_frame(&mut sock, &buf).is_err() {
                     return;
                 }
-                if let Some(m) = metrics.get() {
-                    m.incr(Counter::TcpAbortFramesSent);
+                if let Some(p) = probe.get() {
+                    p.incr(Counter::TcpAbortFramesSent);
                 }
             }
             WriterCmd::Goodbye => {
                 if write_frame(&mut sock, &[1, 0, 0, 0, KIND_GOODBYE]).is_ok() {
-                    if let Some(m) = metrics.get() {
-                        m.incr(Counter::TcpGoodbyeFramesSent);
+                    if let Some(p) = probe.get() {
+                        p.incr(Counter::TcpGoodbyeFramesSent);
                     }
                 }
                 let _ = sock.shutdown(Shutdown::Write);
@@ -704,7 +699,7 @@ fn reader_loop(
     frame_tx: Sender<Frame>,
     abort: Arc<AbortCell>,
     closing: Arc<AtomicBool>,
-    metrics: MetricsCell,
+    probe: ProbeCell,
 ) {
     let mut header = [0u8; 4];
     let mut body = Vec::new();
@@ -736,8 +731,8 @@ fn reader_loop(
                 // A receiver gone just means this endpoint stopped
                 // consuming; keep draining so the peer can finish sending.
                 Some(f) => {
-                    if let Some(m) = metrics.get() {
-                        m.incr(Counter::TcpDataFramesRecv);
+                    if let Some(p) = probe.get() {
+                        p.incr(Counter::TcpDataFramesRecv);
                     }
                     let _ = frame_tx.send(f);
                 }
@@ -749,8 +744,8 @@ fn reader_loop(
                 }
             },
             KIND_ABORT => {
-                if let Some(m) = metrics.get() {
-                    m.incr(Counter::TcpAbortFramesRecv);
+                if let Some(p) = probe.get() {
+                    p.incr(Counter::TcpAbortFramesRecv);
                 }
                 let mut c = Cursor::new(&body[1..]);
                 if let (Some(origin), Some(err)) = (c.u32(), decode_err(&mut c)) {
@@ -765,8 +760,8 @@ fn reader_loop(
                 // Clean close: dropping frame_tx makes further receives
                 // from this source read as Closed (→ PeerDead upstream,
                 // matching the in-process disconnect semantics).
-                if let Some(m) = metrics.get() {
-                    m.incr(Counter::TcpGoodbyeFramesRecv);
+                if let Some(p) = probe.get() {
+                    p.incr(Counter::TcpGoodbyeFramesRecv);
                 }
                 return;
             }
@@ -1142,8 +1137,8 @@ mod tests {
         let mut mesh = local_mesh(2);
         let mut b = mesh.remove(1);
         let mut a = mesh.remove(0);
-        a.instrument(registry.handle(0));
-        b.instrument(registry.handle(1));
+        a.instrument(Probe::new(None, Some(registry.handle(0))));
+        b.instrument(Probe::new(None, Some(registry.handle(1))));
         a.send(1, frame(7, vec![1.0, 2.0])).unwrap();
         a.send(1, frame(8, vec![3.0])).unwrap();
         for want in [7u64, 8] {
@@ -1185,7 +1180,7 @@ mod tests {
         let mut mesh = local_mesh(2);
         let b = mesh.remove(1);
         let mut a = mesh.remove(0);
-        a.instrument(registry.handle(0));
+        a.instrument(Probe::new(None, Some(registry.handle(0))));
         a.propagate_abort(0, &CommError::Corrupt { src: 1, tag: 9 });
         let deadline = Instant::now() + Duration::from_secs(5);
         while !b.abort_cell().is_tripped() {

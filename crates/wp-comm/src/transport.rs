@@ -297,12 +297,12 @@ pub trait Transport: Send + std::fmt::Debug {
     /// TCP transport forwards an abort control frame to each peer.
     fn propagate_abort(&mut self, _origin: usize, _cause: &CommError) {}
 
-    /// Attach a metrics handle for transport-*internal* accounting the
+    /// Attach the rank's probe for transport-*internal* accounting the
     /// layers above cannot see (wire frames by type, per-peer writer queue
     /// depth, abort relays). Default no-op: the in-process mesh has no
     /// internal machinery worth counting — payload traffic is already
     /// metered above the trait.
-    fn instrument(&mut self, _metrics: wp_metrics::RankMetrics) {}
+    fn instrument(&mut self, _probe: crate::Probe) {}
 
     /// Deliberate teardown: announce a clean close to every peer so they
     /// can distinguish a finished endpoint (quiescent disconnect) from a

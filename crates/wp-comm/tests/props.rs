@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use wp_comm::{CommConfig, FaultPlan, LinkModel, World};
+use wp_comm::{CommConfig, FaultPlan, World};
 use wp_tensor::DType;
 
 proptest! {
@@ -26,7 +26,7 @@ proptest! {
         let expect: Vec<f32> =
             (0..n).map(|i| inputs.iter().map(|v| v[i]).sum()).collect();
         let inputs_ref = &inputs;
-        let (outs, _) = World::run(p, LinkModel::instant(), move |mut c| {
+        let (outs, _) = World::builder(p).run(move |mut c| {
             let mut buf = inputs_ref[c.rank()].clone();
             c.all_reduce_sum(&mut buf, DType::F32).unwrap();
             buf
@@ -50,7 +50,7 @@ proptest! {
             .map(|r| (0..n).map(|i| ((seed + r as u64 + i as u64 * 13) % 53) as f32).collect())
             .collect();
         let inputs_ref = &inputs;
-        let (outs, _) = World::run(p, LinkModel::instant(), move |mut c| {
+        let (outs, _) = World::builder(p).run(move |mut c| {
             let mine = inputs_ref[c.rank()].clone();
             let shard = c.reduce_scatter_sum(&mine, DType::F32).unwrap();
             let gathered = c.all_gather(&shard, DType::F32).unwrap();
@@ -75,7 +75,7 @@ proptest! {
         let root = root % p;
         let payload: Vec<f32> = (0..n).map(|i| (seed as f32) + i as f32).collect();
         let payload_ref = &payload;
-        let (outs, _) = World::run(p, LinkModel::instant(), move |mut c| {
+        let (outs, _) = World::builder(p).run(move |mut c| {
             let mut buf = if c.rank() == root { payload_ref.clone() } else { Vec::new() };
             c.broadcast(root, &mut buf, DType::F32).unwrap();
             buf
@@ -87,7 +87,7 @@ proptest! {
 
     #[test]
     fn ring_exchange_is_a_rotation(p in 2usize..7, seed in 0u64..1000) {
-        let (outs, _) = World::run(p, LinkModel::instant(), move |mut c| {
+        let (outs, _) = World::builder(p).run(move |mut c| {
             let mine = [c.rank() as f32 + seed as f32];
             c.ring_exchange(11, &mine, DType::F32).unwrap()[0]
         });
@@ -110,7 +110,7 @@ proptest! {
             order.swap(i, j);
         }
         let order_ref = &order;
-        let (outs, _) = World::run(2, LinkModel::instant(), move |mut c| {
+        let (outs, _) = World::builder(2).run(move |mut c| {
             if c.rank() == 0 {
                 for t in 0..6u64 {
                     c.send(1, t, &[t as f32 * 10.0], DType::F32).unwrap();

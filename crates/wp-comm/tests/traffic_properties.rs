@@ -106,7 +106,7 @@ proptest! {
 #[test]
 fn point_to_point_send_recv_conserves_bytes() {
     // Minimal closed exchange: rank 0 -> 1 and 1 -> 0 with different sizes.
-    let (_, meter) = World::run(2, LinkModel::instant(), |mut c| {
+    let (_, meter) = World::builder(2).run(|mut c| {
         if c.rank() == 0 {
             c.send(1, 7, &[1.0; 10], DType::F32).unwrap();
             let _ = c.recv(1, 9).unwrap();

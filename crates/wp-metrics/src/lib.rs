@@ -2,13 +2,19 @@
 //!
 //! `wp-trace` records *events* (spans on a timeline); this crate records
 //! *aggregates*: monotonic counters, last-value gauges, and power-of-two
-//! log-bucketed histograms, one fixed slot array per rank. Instrumented
-//! sites in `wp-comm`, `tcp`, `weipipe`, and `wp-optim` hold a cheap
-//! [`RankMetrics`] handle and update slots with single relaxed atomic
+//! log-bucketed histograms, one fixed slot array per rank. A cheap
+//! [`RankMetrics`] handle updates slots with single relaxed atomic
 //! operations — **no locks, no allocation, no string lookup** on the hot
 //! path. Metric identity is a typed enum ([`Counter`], [`Gauge`],
 //! [`Hist`]), so a metric's slot index, Prometheus name, and type are all
 //! resolved at compile time.
+//!
+//! Nothing in the stack records through [`RankMetrics`] directly: each
+//! rank's handle sits inside its `wp_comm::Probe`, next to the rank's
+//! span recorder. The probe times every span once and feeds the same
+//! duration to the trace and to the histogram that mirrors the span's
+//! kind, so this crate keeps no clock and a mirrored histogram can never
+//! disagree with the trace.
 //!
 //! After a run, a [`MetricsSnapshot`] feeds three consumers:
 //!
@@ -19,7 +25,7 @@
 //!    [`validate_json`] / parsed by [`parse_json`];
 //! 3. the `wp-bench ranks` launcher, which ships per-rank snapshots across
 //!    process boundaries with the hex-exact line codec
-//!    ([`RankSnapshot::to_text`] / [`RankSnapshot::from_text`]) and merges
+//!    ([`RankSnapshot::to_line`] / [`RankSnapshot::from_line`]) and merges
 //!    them with [`MetricsSnapshot::merge_rank`].
 //!
 //! ## Hot-path contract
@@ -29,8 +35,8 @@
 //! and every update is one `fetch_add` / `store` / bounded CAS (proved by
 //! the counting-allocator test in `tests/alloc.rs`). Metrics are
 //! default-off via [`MetricsConfig`]: a disabled config builds no registry,
-//! so instrumented sites cost one `Option` branch and training output is
-//! bit-identical to an uninstrumented build.
+//! so instrumented sites cost one branch in the probe and training output
+//! is bit-identical to an uninstrumented build.
 //!
 //! This crate intentionally depends on nothing (not even the workspace's
 //! vendored crates), so every other crate can depend on it.

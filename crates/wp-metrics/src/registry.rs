@@ -2,10 +2,12 @@
 //!
 //! A [`MetricsRegistry`] owns one slot block per rank — an array of
 //! counters, an array of gauges, and an array of histograms, all sized by
-//! the typed-id enums at construction. Each instrumented site holds a cheap
-//! [`RankMetrics`] handle (an `Arc` plus a rank index) and updates slots
-//! with single relaxed atomic operations — **no locks, no allocation, no
-//! syscalls** on the hot path beyond reading the monotonic clock.
+//! the typed-id enums at construction. A cheap [`RankMetrics`] handle (an
+//! `Arc` plus a rank index) updates slots with single relaxed atomic
+//! operations — **no locks, no allocation, no syscalls**. The registry
+//! keeps no clock: durations arrive already measured, from the rank's
+//! `wp_comm::Probe`, which times each span once for both the trace and
+//! the histogram.
 //!
 //! ## Consistency
 //!
@@ -21,7 +23,6 @@
 use crate::id::{Counter, Gauge, Hist};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Number of log₂ buckets per histogram: bucket 0 holds zero-valued
 /// observations, bucket `i` holds values in `[2^(i-1), 2^i)`, and the last
@@ -86,13 +87,12 @@ impl RankSlots {
 
 #[derive(Debug)]
 struct Inner {
-    epoch: Instant,
     ranks: Vec<RankSlots>,
 }
 
 /// Whether (and that's all) metrics are recorded. Mirrors `TraceConfig`:
 /// the default is off, and off means no registry is built at all — every
-/// instrumented site costs one `Option` branch.
+/// instrumented site costs one branch in the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsConfig {
     /// Record metrics when true.
@@ -137,7 +137,6 @@ impl MetricsRegistry {
     pub fn new(ranks: usize) -> Self {
         MetricsRegistry {
             inner: Arc::new(Inner {
-                epoch: Instant::now(),
                 ranks: (0..ranks).map(|_| RankSlots::empty()).collect(),
             }),
         }
@@ -207,13 +206,6 @@ impl RankMetrics {
         self.rank
     }
 
-    /// Nanoseconds since the registry's epoch. Use as a duration's start
-    /// mark for [`observe_since`](Self::observe_since).
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        self.inner.epoch.elapsed().as_nanos() as u64
-    }
-
     /// Add `v` to a counter. One relaxed `fetch_add`.
     #[inline]
     pub fn add(&self, c: Counter, v: u64) {
@@ -255,15 +247,6 @@ impl RankMetrics {
         slots.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         slots.count.fetch_add(1, Ordering::Relaxed);
         slots.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Record the duration since `start_ns` (from [`now_ns`](Self::now_ns))
-    /// into a histogram, returning the observed nanoseconds.
-    #[inline]
-    pub fn observe_since(&self, h: Hist, start_ns: u64) -> u64 {
-        let dur = self.now_ns().saturating_sub(start_ns);
-        self.observe(h, dur);
-        dur
     }
 }
 
@@ -480,7 +463,7 @@ impl MetricsSnapshot {
     /// Total nanoseconds recorded in the compute histograms (forward,
     /// backward, weight-grad, update) across all ranks. When tracing and
     /// metrics run side by side this equals the trace's summed `busy_ns`
-    /// exactly, because both are fed the same measured durations.
+    /// exactly, because one probe feeds both the same measured durations.
     pub fn compute_mass_ns(&self) -> u64 {
         [Hist::FwdNs, Hist::BwdNs, Hist::WgradNs, Hist::UpdateNs]
             .iter()
@@ -622,16 +605,5 @@ mod tests {
         m.observe(Hist::StepWallNs, 1000); // not compute
         m.observe(Hist::OptimStepNs, 500); // not compute
         assert_eq!(reg.snapshot().compute_mass_ns(), 100);
-    }
-
-    #[test]
-    fn observe_since_is_monotonic() {
-        let reg = MetricsRegistry::new(1);
-        let m = reg.handle(0);
-        let t0 = m.now_ns();
-        let dur = m.observe_since(Hist::StepWallNs, t0);
-        let h = reg.snapshot_rank(0).hist(Hist::StepWallNs).clone();
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum, dur);
     }
 }

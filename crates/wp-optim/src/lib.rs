@@ -10,6 +10,11 @@
 //! optimizer state *only for the layers it owns* (§4.2.1 — state never
 //! travels the ring), so one optimizer instance per owned layer is exactly
 //! the right granularity.
+//!
+//! The crate is pure math and records no telemetry: the runtime times each
+//! [`MasterWeights::step`] as an `OptimStep` span through its rank's
+//! `wp_comm::Probe`, which also feeds the optimizer-step histogram and the
+//! learning-rate gauge.
 
 #![warn(missing_docs)]
 

@@ -8,10 +8,8 @@
 
 use crate::scaler::GradScaler;
 use crate::Optimizer;
-use wp_metrics::{Counter, Gauge, Hist, RankMetrics};
 use wp_tensor::dtype::quantize_slice;
 use wp_tensor::DType;
-use wp_trace::{RankTracer, SpanKind, NO_ID};
 
 /// fp32 master copy of a (possibly lower-precision) working buffer.
 #[derive(Debug, Clone)]
@@ -61,47 +59,6 @@ impl MasterWeights {
         quantize_slice(working, self.working_dtype);
     }
 
-    /// Like [`step`](Self::step), but records the optimizer step proper as
-    /// an [`SpanKind::OptimStep`] span when a tracer is attached. The caller
-    /// (the runtime's update op) supplies identity context via its own
-    /// enclosing `Update` span; this one measures just the math.
-    pub fn step_traced<O: Optimizer + ?Sized>(
-        &mut self,
-        opt: &mut O,
-        working: &mut [f32],
-        grads: &[f32],
-        lr: f32,
-        tracer: Option<&RankTracer>,
-    ) {
-        self.step_observed(opt, working, grads, lr, tracer, None);
-    }
-
-    /// Like [`step_traced`](Self::step_traced), but additionally feeds an
-    /// attached metrics handle: the step duration lands in
-    /// [`Hist::OptimStepNs`] and the applied learning rate in
-    /// [`Gauge::CurrentLr`]. Both sinks are strictly observational — the
-    /// numeric update is [`step`](Self::step) either way.
-    pub fn step_observed<O: Optimizer + ?Sized>(
-        &mut self,
-        opt: &mut O,
-        working: &mut [f32],
-        grads: &[f32],
-        lr: f32,
-        tracer: Option<&RankTracer>,
-        metrics: Option<&RankMetrics>,
-    ) {
-        let t0 = tracer.map(|t| t.now_ns());
-        let m0 = metrics.map(|m| m.now_ns());
-        self.step(opt, working, grads, lr);
-        if let (Some(tr), Some(start)) = (tracer, t0) {
-            tr.end_span(SpanKind::OptimStep, start, NO_ID, NO_ID, 0, 0);
-        }
-        if let (Some(m), Some(start)) = (metrics, m0) {
-            m.observe_since(Hist::OptimStepNs, start);
-            m.set(Gauge::CurrentLr, lr as f64);
-        }
-    }
-
     /// One mixed-precision step under dynamic loss scaling.
     ///
     /// Unscales `grads` in place, then either applies one optimizer step
@@ -124,35 +81,6 @@ impl MasterWeights {
         let apply = scaler.update(!finite);
         if apply {
             self.step(opt, working, grads, lr);
-        }
-        apply
-    }
-
-    /// Like [`step_scaled`](Self::step_scaled), but counts overflow-skipped
-    /// steps into [`Counter::OverflowSkipped`] and records the applied
-    /// step's duration/LR like [`step_observed`](Self::step_observed). The
-    /// numeric trajectory — including skip decisions and scale dynamics —
-    /// is bit-identical to the unobserved variant.
-    pub fn step_scaled_observed<O: Optimizer + ?Sized>(
-        &mut self,
-        opt: &mut O,
-        working: &mut [f32],
-        grads: &mut [f32],
-        lr: f32,
-        scaler: &mut GradScaler,
-        metrics: Option<&RankMetrics>,
-    ) -> bool {
-        let finite = scaler.unscale(grads);
-        let apply = scaler.update(!finite);
-        if apply {
-            let m0 = metrics.map(|m| m.now_ns());
-            self.step(opt, working, grads, lr);
-            if let (Some(m), Some(start)) = (metrics, m0) {
-                m.observe_since(Hist::OptimStepNs, start);
-                m.set(Gauge::CurrentLr, lr as f64);
-            }
-        } else if let Some(m) = metrics {
-            m.incr(Counter::OverflowSkipped);
         }
         apply
     }
@@ -207,38 +135,6 @@ mod tests {
         // Master holds the exact value; working is the fp16 rounding.
         assert_eq!(mw.master()[0], 1.0 + 2f32.powi(-13));
         assert_eq!(working[0], 1.0);
-    }
-
-    #[test]
-    fn step_traced_matches_step_and_records() {
-        let mut opt_a = Sgd::new(
-            1,
-            SgdConfig {
-                lr: 1.0,
-                ..Default::default()
-            },
-        );
-        let mut opt_b = Sgd::new(
-            1,
-            SgdConfig {
-                lr: 1.0,
-                ..Default::default()
-            },
-        );
-        let mut wa = vec![1.0f32];
-        let mut wb = vec![1.0f32];
-        let mut ma = MasterWeights::capture(&wa, DType::F32);
-        let mut mb = MasterWeights::capture(&wb, DType::F32);
-        let collector = wp_trace::TraceCollector::new(1, 8);
-        let tracer = collector.tracer(0);
-        ma.step(&mut opt_a, &mut wa, &[0.25], 1.0);
-        mb.step_traced(&mut opt_b, &mut wb, &[0.25], 1.0, Some(&tracer));
-        assert_eq!(wa, wb, "tracing must not perturb the update");
-        let trace = collector.snapshot();
-        assert!(trace.tracks[0].has_kind(SpanKind::OptimStep));
-        // And with no tracer it records nothing and still steps.
-        mb.step_traced(&mut opt_b, &mut wb, &[0.25], 1.0, None);
-        assert_eq!(collector.snapshot().span_count(), 1);
     }
 
     #[test]
@@ -304,68 +200,6 @@ mod tests {
         let (opt_b, w_b) = run(true);
         assert_eq!(opt_a, opt_b);
         assert_eq!(w_a, w_b);
-    }
-
-    #[test]
-    fn step_observed_records_duration_and_lr() {
-        let registry = wp_metrics::MetricsRegistry::new(1);
-        let m = registry.handle(0);
-        let mut working = vec![1.0f32];
-        let mut mw = MasterWeights::capture(&working, DType::F32);
-        let mut opt = Sgd::new(
-            1,
-            SgdConfig {
-                lr: 1.0,
-                ..Default::default()
-            },
-        );
-        mw.step_observed(&mut opt, &mut working, &[0.25], 0.5, None, Some(&m));
-        assert_eq!(working[0], 1.0 - 0.5 * 0.25);
-        let snap = registry.snapshot();
-        assert_eq!(snap.ranks[0].hist(Hist::OptimStepNs).count, 1);
-        assert_eq!(snap.ranks[0].gauge(Gauge::CurrentLr), 0.5);
-    }
-
-    #[test]
-    fn step_scaled_observed_counts_skips_only_on_overflow() {
-        let registry = wp_metrics::MetricsRegistry::new(1);
-        let m = registry.handle(0);
-        let mut working = vec![1.0f32, -0.5];
-        let mut mw = MasterWeights::capture(&working, DType::F32);
-        let mut opt = AdamW::new(2, AdamConfig::default());
-        let mut scaler = GradScaler::with_scale(8.0);
-
-        let mut good = vec![0.8f32, -1.6];
-        assert!(mw.step_scaled_observed(
-            &mut opt,
-            &mut working,
-            &mut good,
-            1e-3,
-            &mut scaler,
-            Some(&m)
-        ));
-        let mut bad = vec![f32::INFINITY, 1.0];
-        assert!(!mw.step_scaled_observed(
-            &mut opt,
-            &mut working,
-            &mut bad,
-            1e-3,
-            &mut scaler,
-            Some(&m)
-        ));
-
-        let snap = registry.snapshot();
-        assert_eq!(snap.ranks[0].counter(Counter::OverflowSkipped), 1);
-        assert_eq!(
-            snap.ranks[0].hist(Hist::OptimStepNs).count,
-            1,
-            "only the applied step is timed"
-        );
-        assert_eq!(
-            scaler.skipped_steps(),
-            1,
-            "observation must not change scaler dynamics"
-        );
     }
 
     #[test]

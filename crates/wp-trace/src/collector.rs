@@ -1,8 +1,8 @@
 //! The recorder: pre-sized, lock-free, per-rank span ring buffers.
 //!
 //! A [`TraceCollector`] owns one ring buffer per rank, allocated once at
-//! construction. Each instrumented site holds a cheap [`RankTracer`] handle
-//! (an `Arc` plus a rank index) and records spans with a handful of relaxed
+//! construction. Each rank's `wp_comm::Probe` holds a cheap [`RankTracer`]
+//! handle (an `Arc` plus a rank index) and records spans with a handful of relaxed
 //! atomic stores — **no locks, no allocation, no syscalls** on the hot path
 //! beyond reading the monotonic clock. Capacity overruns overwrite the
 //! oldest records ring-style and are counted, never blocking the writer.
@@ -214,10 +214,9 @@ impl RankTracer {
     }
 
     /// Record a span that started at `start_ns` (from [`now_ns`](Self::now_ns))
-    /// and ends now. Returns the recorded duration in nanoseconds so a
-    /// caller mirroring the span into a second sink (e.g. a metrics
-    /// histogram) observes the *identical* value the trace holds — the
-    /// busy-time/histogram-mass consistency suite depends on this.
+    /// and ends now. Returns the recorded duration in nanoseconds, which
+    /// `wp_comm::Probe` feeds to the span's mirrored metrics histogram, so
+    /// both sinks hold the *identical* value.
     #[inline]
     pub fn end_span(
         &self,

@@ -1,10 +1,13 @@
 //! # wp-trace — lock-free per-rank span tracing for the WeiPipe runtime
 //!
 //! The simulator (`wp-sim`) can draw Gantt charts of what the schedule
-//! *should* do; this crate records what the real runtime *actually* did.
-//! Instrumented sites in `wp-comm`, `weipipe`, and `wp-optim` record
-//! [`SpanRecord`]s into per-rank ring buffers owned by a [`TraceCollector`];
-//! after a run, a [`Trace`] snapshot feeds three consumers:
+//! *should* do; this crate records what the real runtime *actually* did:
+//! [`SpanRecord`]s in per-rank ring buffers owned by a [`TraceCollector`].
+//! The stack records through one handle per rank, `wp_comm::Probe`, which
+//! wraps the rank's [`RankTracer`] and its metric slots: it reads the
+//! collector's clock, closes each span here, and feeds the same duration to
+//! the histogram that mirrors the span's kind. After a run, a [`Trace`]
+//! snapshot feeds three consumers:
 //!
 //! 1. [`export_chrome_json`] — Chrome trace-event / Perfetto JSON, openable
 //!    at `ui.perfetto.dev` or `chrome://tracing`;
@@ -20,7 +23,7 @@
 //! plus a handful of relaxed atomic stores (proved by the counting-allocator
 //! test in `tests/alloc.rs`). Tracing is default-off via [`TraceConfig`]:
 //! a disabled config builds no collector, so instrumented sites cost one
-//! `Option` branch and training output is bit-identical to an
+//! branch in the probe and training output is bit-identical to an
 //! uninstrumented build.
 //!
 //! This crate intentionally depends on nothing (not even the workspace's

@@ -89,7 +89,7 @@ fn simulated_traffic_equals_measured_traffic() {
         // final assembly); compare P2P only via the prediction being a lower
         // bound that must be contained. We re-run to get the split.
         // run_distributed returns total; recompute the split directly:
-        let (outs, meter) = wp_comm::World::run(p, setup.link, |comm| {
+        let (outs, meter) = wp_comm::World::builder(p).link(setup.link).run(|comm| {
             let mut rt = weipipe::interp::RankRuntime::new(&setup, &sched, comm);
             rt.run_iteration(&sched, 0).expect("healthy world");
             rt.assemble(&sched).expect("healthy world");
