@@ -1,10 +1,12 @@
-//! Kernel microbenchmark: long-context attention + transformer block.
+//! Kernel microbenchmark: GEMM, long-context attention + transformer block.
 //!
 //! Times the hot-path kernels (streaming attention forward/backward and a
 //! full block forward + fused backward) at long context, printing a small
 //! table suitable for `results/kernels.txt`. Each kernel is timed twice:
 //! once forced onto the sequential path and once through the parallel
-//! dispatch, so the table shows the speedup directly.
+//! dispatch, so the table shows the speedup directly. The GEMM line is
+//! absolute: GFLOP/s over one block's 21 matmuls at S=256, through the
+//! micro-kernel this host dispatches to (named in the report's notes).
 //!
 //! Run with `--smoke` for a fast CI-sized configuration; smoke mode also
 //! checks (a) the parallel path is bit-identical to the sequential one and
@@ -23,6 +25,7 @@ use wp_nn::block::{block_backward_full, block_forward};
 use wp_nn::config::{AttnKind, ModelConfig};
 use wp_nn::params::init_block;
 use wp_nn::scratch::Scratch;
+use wp_tensor::ops::{gemm_kernel_name, matmul_nn, matmul_nt, matmul_tn};
 use wp_tensor::Tensor;
 
 /// Global allocator that counts every allocation, so smoke mode can prove
@@ -121,6 +124,62 @@ fn bench_attention(seq: usize, reps: usize, report: &mut Report) {
     report
         .metric("attn_fwd_speedup", fwd_seq / fwd_par)
         .metric("attn_bwd_speedup", bwd_seq / bwd_par);
+}
+
+/// GFLOP/s over the 21 `matmul_nt`/`nn`/`tn` calls of one block's forward,
+/// data-backward and weight-backward at S=256, with `bench_block`'s model
+/// shape and the `(m, k, n)` arguments `block.rs` passes.
+fn bench_gemm(reps: usize, report: &mut Report) {
+    let seq = 256;
+    let cfg = ModelConfig::llama_like(256, 4, 1, 64, seq);
+    let (t, h, kv, f) = (seq, cfg.hidden, cfg.kv_dim(), cfg.ffn);
+    type Matmul = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+    let (nt, nn, tn): (Matmul, Matmul, Matmul) = (matmul_nt, matmul_nn, matmul_tn);
+    let calls = [
+        (nt, t, h, h),
+        (nt, t, h, kv),
+        (nt, t, h, kv),
+        (nt, t, h, h),
+        (nt, t, h, f),
+        (nt, t, h, f),
+        (nt, t, f, h),
+        (nn, t, h, f),
+        (nn, t, f, h),
+        (nn, t, f, h),
+        (nn, t, h, h),
+        (nn, t, h, h),
+        (nn, t, kv, h),
+        (nn, t, kv, h),
+        (tn, h, t, f),
+        (tn, f, t, h),
+        (tn, f, t, h),
+        (tn, h, t, h),
+        (tn, h, t, h),
+        (tn, kv, t, h),
+        (tn, kv, t, h),
+    ];
+    let mut bufs: Vec<_> = (0u64..)
+        .zip(&calls)
+        .map(|(i, &(_, m, k, n))| {
+            (
+                vec![0.0f32; m * n],
+                Tensor::rand_uniform([m * k], -1.0, 1.0, 20 + i).into_vec(),
+                Tensor::rand_uniform([k * n], -1.0, 1.0, 50 + i).into_vec(),
+            )
+        })
+        .collect();
+    let flops: usize = calls.iter().map(|&(_, m, k, n)| 2 * m * k * n).sum();
+    let secs = time_best(reps.max(5), || {
+        for (&(mm, m, k, n), (c, a, b)) in calls.iter().zip(bufs.iter_mut()) {
+            mm(c, a, b, m, k, n);
+        }
+    });
+    let gflops = flops as f64 / secs / 1e9;
+    let kernel = gemm_kernel_name();
+    println!("gemm       S={seq:<5} {gflops:>9.1} GFLOP/s over one block's 21 matmuls ({kernel})");
+    report
+        .metric("gemm_gflops", gflops)
+        .note("gemm_kernel", kernel);
 }
 
 fn bench_block(seq: usize, reps: usize, report: &mut Report) {
@@ -241,6 +300,7 @@ fn main() {
         rayon::current_num_threads()
     );
     let mut report = Report::new("kernels");
+    bench_gemm(reps, &mut report);
     bench_attention(seq, reps, &mut report);
     bench_block(seq, reps, &mut report);
     if smoke {

@@ -11,9 +11,10 @@
 //!   conversions, used to emulate the paper's mixed-precision storage
 //!   (fp16 weights/activations/weight-grads, bf16 activation-grads, fp32
 //!   optimizer state) on hardware without native half floats.
-//! * [`ops`] — the kernels a Llama-style transformer needs: cache-blocked
-//!   matmuls in the three layouts (`nn`, `nt`, `tn`) that cover forward,
-//!   data-gradient (*B pass*) and weight-gradient (*W pass*) computation,
+//! * [`ops`] — the kernels a Llama-style transformer needs: matmuls in the
+//!   three layouts (`nn`, `nt`, `tn`) that cover forward, data-gradient
+//!   (*B pass*) and weight-gradient (*W pass*) computation, all on one
+//!   packed FMA GEMM core that gives the same bits on every ISA,
 //!   RMSNorm, RoPE, SiLU/SwiGLU, row softmax, embedding gather/scatter and a
 //!   fused softmax-cross-entropy.
 //!

@@ -16,7 +16,7 @@ pub use elementwise::{
 };
 pub use embedding::{embedding_backward, embedding_forward};
 pub use loss::{cross_entropy_forward_backward, cross_entropy_loss};
-pub use matmul::{dot, matmul_naive, matmul_nn, matmul_nt, matmul_tn};
+pub use matmul::{dot, gemm_kernel_name, matmul_naive, matmul_nn, matmul_nt, matmul_tn};
 pub use norm::{rmsnorm_backward, rmsnorm_forward};
 pub use rope::RopeTable;
 pub use softmax::{softmax_row, softmax_rows, softmax_rows_backward};

@@ -1,7 +1,8 @@
 //! Shared parallel-dispatch helpers for the kernels.
 //!
 //! Every row-independent kernel in this module tree parallelises the same
-//! way: split the row range into at most a few bands per pool thread, run
+//! way: split the row range into at most a few bands per pool thread (one
+//! per thread for the GEMM core, whose bands each pack `B` once), run
 //! each band serially inside one task, and keep the per-row arithmetic
 //! order untouched — which makes the parallel result bit-identical to the
 //! sequential one (`rayon::force_sequential` runs the very same band

@@ -122,6 +122,40 @@ proptest! {
     }
 
     #[test]
+    fn nt_and_tn_are_bit_identical_to_nn_on_transposed_operands(
+        m in 1usize..20,
+        k in 1usize..600,
+        n in 1usize..40,
+        seed in 0u64..1000
+    ) {
+        // All three layouts run one fused-order kernel, so transposing an
+        // operand's storage must not change a single bit of C. The ranges
+        // cross the 6×16 tile edges and the 256-deep k blocks.
+        let a = Tensor::rand_uniform([m * k], -1.0, 1.0, seed).into_vec();
+        let b = Tensor::rand_uniform([k * n], -1.0, 1.0, seed + 1).into_vec();
+        let c0 = Tensor::rand_uniform([m * n], -1.0, 1.0, seed + 2).into_vec();
+        let transpose = |x: &[f32], rows: usize, cols: usize| {
+            let mut t = vec![0.0; rows * cols];
+            for i in 0..rows {
+                for j in 0..cols {
+                    t[j * rows + i] = x[i * cols + j];
+                }
+            }
+            t
+        };
+        let mut c_nn = c0.clone();
+        matmul_nn(&mut c_nn, &a, &b, m, k, n);
+        let mut c_nt = c0.clone();
+        matmul_nt(&mut c_nt, &a, &transpose(&b, k, n), m, k, n);
+        let mut c_tn = c0;
+        matmul_tn(&mut c_tn, &transpose(&a, m, k), &b, m, k, n);
+        for i in 0..m * n {
+            prop_assert_eq!(c_nt[i].to_bits(), c_nn[i].to_bits(), "nt differs at {}", i);
+            prop_assert_eq!(c_tn[i].to_bits(), c_nn[i].to_bits(), "tn differs at {}", i);
+        }
+    }
+
+    #[test]
     fn softmax_rows_sum_to_one_and_shift_invariant(
         rows in 1usize..5,
         cols in 1usize..9,
