@@ -1,12 +1,12 @@
 //! CI plumbing for the bench binaries: machine-readable reports, the
 //! perf-regression floor check, and one-line failure exits.
 //!
-//! The workspace is built offline with no JSON crate vendored, so this
-//! module carries a deliberately small hand-rolled JSON subset: enough to
-//! write flat bench reports (`{"name": ..., "metrics": {...}, "notes":
-//! {...}}`) and to read them plus the checked-in floors file back. It is
-//! not a general JSON library — no arrays, no nested depth beyond what the
-//! report schema uses — and tests pin the exact wire format.
+//! Reports are flat JSON (`{"name": ..., "metrics": {...}, "notes":
+//! {...}}`) written by hand in a pinned wire format; reports and the
+//! checked-in floors file are read back through the workspace's one JSON
+//! codec, [`wp_trace::json`], with a strict schema walk on top. A metric
+//! JSON cannot carry as a number (NaN, ±infinity) is written as the string
+//! `"NaN"`, `"+Inf"` or `"-Inf"`, as the metrics export writes gauges.
 //!
 //! The regression contract: every bench binary writes
 //! `results/bench_<name>.json`; `ci/bench_floors.json` holds `min` and
@@ -16,6 +16,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use wp_trace::json::{self, escape, fmt_f64, parse_f64, Json};
 
 /// One bench binary's machine-readable output.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -69,18 +70,33 @@ impl Report {
         out
     }
 
-    /// Parse a report written by [`Self::to_json`].
-    pub fn parse(json: &str) -> Result<Report, String> {
+    /// Parse a report written by [`Self::to_json`]. The `name` is
+    /// mandatory; `metrics` and `notes` may be absent or empty.
+    pub fn parse(text: &str) -> Result<Report, String> {
+        let doc = json::parse(text)?;
         let mut report = Report::default();
-        Parser::document(json, |p, key| {
-            match key {
-                "name" => report.name = p.string()?,
-                "metrics" => report.metrics.extend(p.object_of_numbers()?),
-                "notes" => report.notes.extend(p.object_of_strings()?),
+        let mut named = false;
+        for (key, v) in members(&doc, "report")? {
+            match key.as_str() {
+                "name" => {
+                    report.name = v.as_str().ok_or("report name is not a string")?.into();
+                    named = true;
+                }
+                "metrics" => report.metrics.extend(numbers(v, key)?),
+                "notes" => {
+                    for (k, note) in members(v, key)? {
+                        let note = note
+                            .as_str()
+                            .ok_or_else(|| format!("note {k:?} is not a string"))?;
+                        report.notes.push((k.clone(), note.into()));
+                    }
+                }
                 other => return Err(format!("unknown report key {other:?}")),
             }
-            Ok(())
-        })?;
+        }
+        if !named {
+            return Err("report has no name".into());
+        }
         Ok(report)
     }
 
@@ -101,172 +117,38 @@ impl Report {
 }
 
 /// Format a float so the wire format round-trips exactly and stays
-/// readable: integers print bare, everything else via `{:?}` (shortest
-/// representation that re-parses to the same f64).
+/// readable: integers print bare, other finite values via `{:?}` (shortest
+/// representation that re-parses to the same f64), and NaN and the
+/// infinities as the quoted strings [`fmt_f64`] spells.
 fn fmt_num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
+    if !v.is_finite() {
+        format!("\"{}\"", fmt_f64(v))
+    } else if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else {
         format!("{v:?}")
     }
 }
 
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
+/// The members of `v`, which must be an object; `what` names it in the
+/// error.
+fn members<'d, 'a>(v: &'d Json<'a>, what: &str) -> Result<&'d [(String, Json<'a>)], String> {
+    v.as_obj().ok_or_else(|| format!("{what} is not an object"))
+}
+
+/// An object of numbers, as [`fmt_num`] writes them.
+fn numbers(v: &Json, what: &str) -> Result<Vec<(String, f64)>, String> {
+    members(v, what)?
+        .iter()
+        .map(|(k, n)| {
+            let n = match n {
+                Json::Str(s) => parse_f64(s).filter(|n| !n.is_finite()),
+                n => n.as_f64(),
+            };
+            n.map(|n| (k.clone(), n))
+                .ok_or_else(|| format!("{what}: {k:?} is not a number"))
         })
         .collect()
-}
-
-/// Minimal recursive-descent parser over the report/floors subset.
-struct Parser<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser {
-            src: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    /// Parse `json` as one top-level object, handing each member's key to
-    /// `member` to parse its value. Anything but whitespace after the
-    /// closing brace is an error.
-    fn document(
-        json: &str,
-        mut member: impl FnMut(&mut Parser, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        let mut p = Parser::new(json);
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            member(&mut p, &key)?;
-            if !p.comma_or_close('}')? {
-                break;
-            }
-        }
-        p.skip_ws();
-        match p.src.get(p.pos) {
-            None => Ok(()),
-            Some(_) => Err(format!("trailing input at byte {}", p.pos)),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.src
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != c as u8 {
-            return Err(format!(
-                "expected {c:?} at byte {}, found {:?}",
-                self.pos, got as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    /// After a member: consume `,` (returning true) or `close` (false).
-    fn comma_or_close(&mut self, close: char) -> Result<bool, String> {
-        let got = self.peek()?;
-        self.pos += 1;
-        match got {
-            b',' => Ok(true),
-            c if c == close as u8 => Ok(false),
-            c => Err(format!("expected ',' or {close:?}, found {:?}", c as char)),
-        }
-    }
-
-    /// A string literal. Bytes are collected raw and decoded as UTF-8 once
-    /// at the closing quote, so multi-byte characters survive.
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = Vec::new();
-        loop {
-            let c = *self.src.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match c {
-                b'"' => return String::from_utf8(out).map_err(|e| format!("bad UTF-8: {e}")),
-                b'\\' => {
-                    let e = *self.src.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    out.push(match e {
-                        b'"' => b'"',
-                        b'\\' => b'\\',
-                        b'n' => b'\n',
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    });
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .src
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-
-    /// `{ "k": 1.5, ... }` — possibly empty.
-    fn object_of_numbers(&mut self) -> Result<Vec<(String, f64)>, String> {
-        self.object(|p| p.number())
-    }
-
-    /// `{ "k": "v", ... }` — possibly empty.
-    fn object_of_strings(&mut self) -> Result<Vec<(String, String)>, String> {
-        self.object(|p| p.string())
-    }
-
-    fn object<T>(
-        &mut self,
-        mut value: impl FnMut(&mut Self) -> Result<T, String>,
-    ) -> Result<Vec<(String, T)>, String> {
-        self.expect('{')?;
-        let mut out = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            let k = self.string()?;
-            self.expect(':')?;
-            let v = value(self)?;
-            out.push((k, v));
-            if !self.comma_or_close('}')? {
-                return Ok(out);
-            }
-        }
-    }
 }
 
 /// The checked-in regression bounds: `min` floors and `max` ceilings, both
@@ -280,17 +162,23 @@ pub struct Floors {
 }
 
 impl Floors {
-    /// Parse `ci/bench_floors.json`.
-    pub fn parse(json: &str) -> Result<Floors, String> {
+    /// Parse `ci/bench_floors.json`, which must hold `min`, `max` or both:
+    /// an empty document is an error, not zero bounds to satisfy.
+    pub fn parse(text: &str) -> Result<Floors, String> {
+        let doc = json::parse(text)?;
         let mut floors = Floors::default();
-        Parser::document(json, |p, key| {
-            match key {
-                "min" => floors.min = p.object_of_numbers()?,
-                "max" => floors.max = p.object_of_numbers()?,
+        let mut bounded = false;
+        for (key, v) in members(&doc, "floors")? {
+            match key.as_str() {
+                "min" => floors.min = numbers(v, key)?,
+                "max" => floors.max = numbers(v, key)?,
                 other => return Err(format!("unknown floors key {other:?}")),
             }
-            Ok(())
-        })?;
+            bounded = true;
+        }
+        if !bounded {
+            return Err("floors hold neither min nor max".into());
+        }
         Ok(floors)
     }
 
@@ -388,7 +276,17 @@ mod tests {
     fn escapes_round_trip() {
         let mut r = Report::new("esc");
         r.note("msg", "a \"quoted\"\nline \\ backslash");
-        assert_eq!(Report::parse(&r.to_json()).unwrap(), r);
+        r.note("controls", "\t\r\u{1}");
+        let json = r.to_json();
+        assert_eq!(Report::parse(&json).unwrap(), r);
+        // RFC 8259 forbids raw control characters inside strings; the only
+        // ones in the document are the line breaks between members.
+        for line in json.lines() {
+            assert!(
+                line.bytes().all(|b| b >= 0x20),
+                "raw control byte in {line:?}"
+            );
+        }
     }
 
     #[test]
@@ -406,6 +304,48 @@ mod tests {
         assert!(err.contains("trailing input"), "{err}");
         assert!(Report::parse(&format!("{json}{json}")).is_err());
         assert!(Floors::parse(r#"{ "min": {} } x"#).is_err());
+        // A document with no name, or floors with no bounds, is an error
+        // rather than an empty report or "0 bounds satisfied".
+        assert!(Report::parse("{}").is_err());
+        assert!(Floors::parse("{}").is_err());
+        assert!(Floors::parse(r#"{ "min": {} }"#).is_ok());
+    }
+
+    #[test]
+    fn non_finite_metrics_round_trip_and_regress() {
+        let mut r = Report::new("nf");
+        r.metric("nan", f64::NAN)
+            .metric("inf", f64::INFINITY)
+            .metric("ninf", f64::NEG_INFINITY);
+        let json = r.to_json();
+        assert!(json.contains("\"nan\": \"NaN\""), "{json}");
+        let back = Report::parse(&json).unwrap();
+        assert!(back.get("nan").unwrap().is_nan());
+        assert_eq!(back.get("inf"), Some(f64::INFINITY));
+        assert_eq!(back.get("ninf"), Some(f64::NEG_INFINITY));
+        // A string that is not one of the three spellings is no number.
+        assert!(Report::parse(r#"{"name": "x", "metrics": {"m": "1.5"}}"#).is_err());
+
+        let floors = Floors {
+            min: vec![("nf.nan".into(), 1.0)],
+            max: vec![],
+        };
+        let err = floors.check(&[back]).unwrap_err();
+        assert_eq!(err.len(), 1);
+        assert!(err[0].contains("REGRESSED below min"), "{err:?}");
+    }
+
+    #[test]
+    fn million_deep_documents_are_errors_in_every_reader() {
+        let deep = "[".repeat(1_000_000);
+        let err = wp_trace::validate_chrome_json(&format!("{{\"traceEvents\":{deep}"));
+        assert!(err.unwrap_err().contains("nesting"));
+        let err = wp_metrics::parse_json(&format!("{{\"wp_metrics\":1,\"ranks\":{deep}"));
+        assert!(err.unwrap_err().contains("nesting"));
+        let err = Report::parse(&format!("{{\"name\":\"x\",\"metrics\":{{\"m\":{deep}"));
+        assert!(err.unwrap_err().contains("nesting"));
+        let err = Floors::parse(&format!("{{\"min\":{deep}"));
+        assert!(err.unwrap_err().contains("nesting"));
     }
 
     #[test]

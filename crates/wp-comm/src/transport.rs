@@ -86,7 +86,8 @@ fn checksum_step(h: u64, word: u64) -> u64 {
 /// 1. every lane starts at `seed = CHECKSUM_SEED ^ len·CHECKSUM_MUL` plus
 ///    its lane index, so payloads of different lengths hash apart;
 /// 2. each full block of 16 elements feeds lane `i` the word
-///    `bits[2i] | bits[2i+1] << 32` through [`checksum_step`];
+///    `bits[2i] | bits[2i+1] << 32` through the step
+///    `h = rotl((h ^ word)·CHECKSUM_MUL, 29)`;
 /// 3. the lanes fold in order into a state starting at `seed`, then the
 ///    0–15 remainder elements follow one 32-bit word each;
 /// 4. a final xor-shift/multiply avalanche (also a bijection) mixes the
@@ -170,7 +171,7 @@ impl Frame {
 
 /// The destination endpoint is gone: its rank exited, crashed, or tore the
 /// connection down. The layer above maps this to
-/// [`CommError::PeerDead`](crate::CommError::PeerDead) (or the standing
+/// [`CommError::PeerDead`] (or the standing
 /// abort cause when the world is already unwinding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportClosed;

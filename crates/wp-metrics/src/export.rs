@@ -1,20 +1,23 @@
 //! Offline exporters: Prometheus text exposition and JSON.
 //!
-//! The build environment is offline, so (matching `wp-trace`'s approach)
-//! both formats are emitted by hand and each ships a strict parser:
+//! Both formats are emitted by hand and read back strictly:
 //! [`validate_prometheus`] / [`validate_json`] prove an exported document
 //! is well-formed without external tooling, and [`parse_prometheus`] /
 //! [`parse_json`] reconstruct the [`MetricsSnapshot`] exactly — the
-//! round-trip property the proptest suite enforces. Counters and histogram
-//! sums are `u64` and rendered as decimal integers (exact); gauges are
-//! `f64` rendered with Rust's shortest-round-trip `Display`, so parse-back
-//! recovers the bits for every finite value.
+//! round-trip property the proptest suite enforces. The Prometheus reader
+//! is this module's own line grammar; the JSON reader is a schema walk over
+//! the workspace's one JSON codec, [`wp_trace::json`], whose numbers keep
+//! their raw text. Counters and histogram sums are `u64` and rendered as
+//! decimal integers (exact); gauges are `f64` rendered with Rust's
+//! shortest-round-trip `Display`, so parse-back recovers the bits for every
+//! finite value.
 
 use crate::id::{Counter, Gauge, Hist};
 use crate::registry::{
     bucket_upper_bound, HistSnapshot, MetricsSnapshot, RankSnapshot, HIST_BUCKETS,
 };
 use std::fmt::Write as _;
+use wp_trace::json::{self, fmt_f64, parse_f64, Json};
 
 /// Summary a successful validation returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,27 +33,6 @@ pub struct ExportStats {
     pub gauges: usize,
     /// Distinct histogram metrics seen.
     pub histograms: usize,
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".into()
-    } else if v == f64::INFINITY {
-        "+Inf".into()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".into()
-    } else {
-        format!("{v}")
-    }
-}
-
-fn parse_f64(s: &str) -> Option<f64> {
-    match s {
-        "NaN" => Some(f64::NAN),
-        "+Inf" => Some(f64::INFINITY),
-        "-Inf" => Some(f64::NEG_INFINITY),
-        _ => s.parse().ok(),
-    }
 }
 
 // ---- Prometheus text exposition -------------------------------------------
@@ -415,12 +397,6 @@ pub fn validate_prometheus(text: &str) -> Result<ExportStats, String> {
 
 // ---- JSON ------------------------------------------------------------------
 
-#[cfg(test)]
-fn json_escape_ascii(s: &str) -> bool {
-    // Metric names are bare Prometheus identifiers; nothing to escape.
-    s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
 /// Render a snapshot as a JSON document:
 ///
 /// ```json
@@ -495,15 +471,17 @@ pub fn export_json(snap: &MetricsSnapshot) -> String {
 /// metric of the right family, and histogram bucket totals must equal
 /// their `count`.
 pub fn parse_json(text: &str) -> Result<(MetricsSnapshot, ExportStats), String> {
-    let doc = JsonParser::parse(text)?;
-    let top = doc.as_obj().ok_or("top level is not an object")?;
-    let version = obj_get(top, "wp_metrics")
+    let doc = json::parse(text)?;
+    doc.as_obj().ok_or("top level is not an object")?;
+    let version = doc
+        .get("wp_metrics")
         .and_then(Json::as_u64)
         .ok_or("missing wp_metrics version field")?;
     if version != 1 {
         return Err(format!("unsupported wp_metrics version {version}"));
     }
-    let ranks = obj_get(top, "ranks")
+    let ranks = doc
+        .get("ranks")
         .and_then(Json::as_arr)
         .ok_or("missing ranks array")?;
     let mut snap = MetricsSnapshot::default();
@@ -516,15 +494,15 @@ pub fn parse_json(text: &str) -> Result<(MetricsSnapshot, ExportStats), String> 
     };
     let mut seen_names: Vec<String> = Vec::new();
     for (i, r) in ranks.iter().enumerate() {
-        let r = r
-            .as_obj()
+        r.as_obj()
             .ok_or_else(|| format!("rank {i} is not an object"))?;
-        let rank = obj_get(r, "rank")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("rank entry {i} lacks a rank number"))?
-            as usize;
+        let rank =
+            r.get("rank")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("rank entry {i} lacks a rank number"))? as usize;
         let mut rs = RankSnapshot::empty(rank);
-        let counters = obj_get(r, "counters")
+        let counters = r
+            .get("counters")
             .and_then(Json::as_obj)
             .ok_or_else(|| format!("rank {rank}: missing counters object"))?;
         for (name, v) in counters {
@@ -539,7 +517,8 @@ pub fn parse_json(text: &str) -> Result<(MetricsSnapshot, ExportStats), String> 
                 stats.counters += 1;
             }
         }
-        let gauges = obj_get(r, "gauges")
+        let gauges = r
+            .get("gauges")
             .and_then(Json::as_obj)
             .ok_or_else(|| format!("rank {rank}: missing gauges object"))?;
         for (name, v) in gauges {
@@ -560,22 +539,25 @@ pub fn parse_json(text: &str) -> Result<(MetricsSnapshot, ExportStats), String> 
                 stats.gauges += 1;
             }
         }
-        let hists = obj_get(r, "histograms")
+        let hists = r
+            .get("histograms")
             .and_then(Json::as_obj)
             .ok_or_else(|| format!("rank {rank}: missing histograms object"))?;
         for (name, v) in hists {
             let h = Hist::from_name(name)
                 .ok_or_else(|| format!("rank {rank}: unknown histogram {name}"))?;
-            let obj = v
-                .as_obj()
+            v.as_obj()
                 .ok_or_else(|| format!("rank {rank}: histogram {name} is not an object"))?;
-            let count = obj_get(obj, "count")
+            let count = v
+                .get("count")
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("rank {rank}: {name} lacks count"))?;
-            let sum = obj_get(obj, "sum")
+            let sum = v
+                .get("sum")
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("rank {rank}: {name} lacks sum"))?;
-            let pairs = obj_get(obj, "buckets")
+            let pairs = v
+                .get("buckets")
                 .and_then(Json::as_arr)
                 .ok_or_else(|| format!("rank {rank}: {name} lacks buckets"))?;
             let mut buckets = vec![0u64; HIST_BUCKETS];
@@ -628,216 +610,6 @@ pub fn parse_json(text: &str) -> Result<(MetricsSnapshot, ExportStats), String> 
 /// schema of [`parse_json`] and hold at least one sample.
 pub fn validate_json(text: &str) -> Result<ExportStats, String> {
     parse_json(text).map(|(_, stats)| stats)
-}
-
-fn obj_get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-// ---- minimal JSON parser ---------------------------------------------------
-//
-// Numbers keep their raw text so u64 counters survive exactly (an `f64`
-// intermediate would round above 2^53).
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse(s: &'a str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            b: s.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.b
-            .get(self.i)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek()? != c {
-            return Err(format!("expected {:?} at byte {}", c as char, self.i));
-        }
-        self.i += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            c => Err(format!("unexpected {:?} at byte {}", c as char, self.i)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.b[self.i] == b'-' {
-            self.i += 1;
-        }
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'
-            )
-        {
-            self.i += 1;
-        }
-        let raw = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| format!("bad number at byte {start}"))?;
-        // Must at least parse as f64 to be a number.
-        raw.parse::<f64>()
-            .map_err(|_| format!("bad number at byte {start}"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.b.get(self.i).ok_or("unterminated string")?;
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.b.get(self.i).ok_or("unterminated escape")?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ if c.is_ascii() => out.push(c as char),
-                _ => return Err("non-ASCII content in metrics document".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        if self.peek()? == b']' {
-            self.i += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek()? {
-                b',' => self.i += 1,
-                b']' => {
-                    self.i += 1;
-                    return Ok(Json::Arr(out));
-                }
-                c => {
-                    return Err(format!(
-                        "expected , or ] got {:?} at byte {}",
-                        c as char, self.i
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut out = Vec::new();
-        if self.peek()? == b'}' {
-            self.i += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            out.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.i += 1,
-                b'}' => {
-                    self.i += 1;
-                    return Ok(Json::Obj(out));
-                }
-                c => {
-                    return Err(format!(
-                        "expected , or }} got {:?} at byte {}",
-                        c as char, self.i
-                    ))
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -966,6 +738,11 @@ mod tests {
         let err = validate_json(bad_bucket).unwrap_err();
         assert!(err.contains("count says 3"), "{err}");
         assert!(validate_json("{\"wp_metrics\":1,\"ranks\":[{\"rank\":0").is_err());
+        // Non-ASCII is valid JSON, but no metric or gauge string has any.
+        let accented = "{\"wp_metrics\":1,\"ranks\":[{\"rank\":0,\
+            \"counters\":{\"wp_tr\u{e4}in_steps_total\":1},\"gauges\":{},\"histograms\":{}}]}";
+        let err = validate_json(accented).unwrap_err();
+        assert!(err.contains("unknown counter"), "{err}");
     }
 
     #[test]
@@ -989,13 +766,13 @@ mod tests {
     #[test]
     fn metric_names_need_no_json_escaping() {
         for c in Counter::ALL {
-            assert!(json_escape_ascii(c.name()));
+            assert_eq!(json::escape(c.name()), c.name());
         }
         for g in Gauge::ALL {
-            assert!(json_escape_ascii(g.name()));
+            assert_eq!(json::escape(g.name()), g.name());
         }
         for h in Hist::ALL {
-            assert!(json_escape_ascii(h.name()));
+            assert_eq!(json::escape(h.name()), h.name());
         }
     }
 }

@@ -38,8 +38,8 @@
 //! so instrumented sites cost one branch in the probe and training output
 //! is bit-identical to an uninstrumented build.
 //!
-//! This crate intentionally depends on nothing (not even the workspace's
-//! vendored crates), so every other crate can depend on it.
+//! This crate depends only on `wp-trace`, for its JSON codec (not on the
+//! workspace's vendored crates), so every other crate can depend on it.
 
 #![warn(missing_docs)]
 

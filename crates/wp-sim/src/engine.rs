@@ -108,8 +108,8 @@ impl std::error::Error for SimError {}
 
 /// Execute `schedule` on `cluster` under `cost`.
 ///
-/// Delegates to the component/min-heap discrete-event core in
-/// [`crate::des`], which produces bit-identical results to
+/// Delegates to the component/min-heap discrete-event core (the private
+/// `des` module), which produces bit-identical results to
 /// [`simulate_reference`] (the original fixpoint walk, kept as the
 /// equivalence oracle) while scaling to thousands of simulated ranks.
 pub fn simulate(

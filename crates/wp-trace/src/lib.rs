@@ -16,6 +16,10 @@
 //! 3. `wp-bench`'s drift report, which compares measured time shares
 //!    against the simulator's prediction for the same config.
 //!
+//! The crate also owns the workspace's one JSON codec, [`json`]: the trace
+//! validator, the metrics export parser and the bench report reader all
+//! read their documents through [`json::parse`].
+//!
 //! ## Hot-path contract
 //!
 //! Recording is **zero-allocation and lock-free**: all buffers are sized at
@@ -32,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod collector;
+pub mod json;
 mod perfetto;
 mod span;
 

@@ -6,12 +6,13 @@
 //! `"i"` instant events for fault annotations. Timestamps are microseconds
 //! (the format's unit) carried as decimals so nanosecond precision survives.
 //!
-//! Because the build environment is offline, no JSON crate is available;
-//! emission is by hand and [`validate_chrome_json`] ships a minimal
-//! recursive-descent parser so CI can prove an exported file is well-formed,
-//! non-empty, and per-track monotonic without external tooling.
+//! Emission is by hand; [`validate_chrome_json`] reads a document back
+//! through the crate's JSON codec ([`crate::json`]) so CI can prove an
+//! exported file is well-formed, non-empty, and per-track monotonic without
+//! external tooling.
 
 use crate::collector::Trace;
+use crate::json::{self, Json};
 use crate::span::{fault_aux_decode, recv_aux_decode, send_aux_decode, SpanKind, NO_ID};
 use std::fmt::Write as _;
 
@@ -159,12 +160,11 @@ pub struct TraceStats {
 /// `ts` (and non-negative `dur` for `"X"`), and per-thread timestamps must
 /// be monotonically non-decreasing in file order.
 pub fn validate_chrome_json(json: &str) -> Result<TraceStats, String> {
-    let doc = parse_json(json)?;
-    let obj = doc.as_obj().ok_or("top level is not an object")?;
-    let events = obj
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .and_then(|(_, v)| v.as_arr())
+    let doc = json::parse(json)?;
+    doc.as_obj().ok_or("top level is not an object")?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
         .ok_or("missing traceEvents array")?;
     if events.is_empty() {
         return Err("traceEvents is empty".into());
@@ -179,39 +179,38 @@ pub fn validate_chrome_json(json: &str) -> Result<TraceStats, String> {
     // (tid, last_ts) per track, small-world so a vec beats a map.
     let mut last_ts: Vec<(f64, f64)> = Vec::new();
     for (i, ev) in events.iter().enumerate() {
-        let ev = ev
-            .as_obj()
+        ev.as_obj()
             .ok_or_else(|| format!("event {i} is not an object"))?;
-        let field = |k: &str| ev.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let ph = field("ph")
+        let ph = ev
+            .get("ph")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i} lacks a ph string"))?;
         if ph == "M" {
-            if let Some(args) = field("args").and_then(Json::as_obj) {
-                if let Some(dropped) = args
-                    .iter()
-                    .find(|(k, _)| k == "dropped_spans")
-                    .and_then(|(_, v)| v.as_num())
-                {
-                    if dropped < 0.0 {
-                        return Err(format!("event {i} has negative dropped_spans {dropped}"));
-                    }
-                    stats.dropped_spans += dropped as u64;
+            let dropped = ev
+                .get("args")
+                .and_then(|args| args.get("dropped_spans"))
+                .and_then(Json::as_f64);
+            if let Some(dropped) = dropped {
+                if dropped < 0.0 {
+                    return Err(format!("event {i} has negative dropped_spans {dropped}"));
                 }
+                stats.dropped_spans += dropped as u64;
             }
             continue;
         }
-        field("name")
+        ev.get("name")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i} lacks a name"))?;
-        let ts = field("ts")
-            .and_then(Json::as_num)
+        let ts = ev
+            .get("ts")
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i} lacks a numeric ts"))?;
-        let tid = field("tid").and_then(Json::as_num).unwrap_or(0.0);
+        let tid = ev.get("tid").and_then(Json::as_f64).unwrap_or(0.0);
         match ph {
             "X" => {
-                let dur = field("dur")
-                    .and_then(Json::as_num)
+                let dur = ev
+                    .get("dur")
+                    .and_then(Json::as_f64)
                     .ok_or_else(|| format!("event {i} (X) lacks a numeric dur"))?;
                 if dur < 0.0 {
                     return Err(format!("event {i} has negative dur {dur}"));
@@ -238,238 +237,6 @@ pub fn validate_chrome_json(json: &str) -> Result<TraceStats, String> {
         return Err("no timed events (only metadata)".into());
     }
     Ok(stats)
-}
-
-// ---- minimal JSON parser ---------------------------------------------------
-
-/// A parsed JSON value (just enough structure for trace validation).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-fn parse_json(s: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.i));
-    }
-    Ok(v)
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.b
-            .get(self.i)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek()? != c {
-            return Err(format!("expected {:?} at byte {}", c as char, self.i));
-        }
-        self.i += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            c => Err(format!("unexpected {:?} at byte {}", c as char, self.i)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.b[self.i] == b'-' {
-            self.i += 1;
-        }
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'
-            )
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.b.get(self.i).ok_or("unterminated string")?;
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.b.get(self.i).ok_or("unterminated escape")?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.i += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Re-borrow the full UTF-8 char starting at c.
-                    let start = self.i - 1;
-                    let len = utf8_len(c);
-                    let s = std::str::from_utf8(&self.b[start..start + len])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(s);
-                    self.i = start + len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        if self.peek()? == b']' {
-            self.i += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek()? {
-                b',' => self.i += 1,
-                b']' => {
-                    self.i += 1;
-                    return Ok(Json::Arr(out));
-                }
-                c => {
-                    return Err(format!(
-                        "expected , or ] got {:?} at byte {}",
-                        c as char, self.i
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut out = Vec::new();
-        if self.peek()? == b'}' {
-            self.i += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            out.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.i += 1,
-                b'}' => {
-                    self.i += 1;
-                    return Ok(Json::Obj(out));
-                }
-                c => {
-                    return Err(format!(
-                        "expected , or }} got {:?} at byte {}",
-                        c as char, self.i
-                    ))
-                }
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
 }
 
 #[cfg(test)]
@@ -597,25 +364,5 @@ mod tests {
             {\"ph\":\"X\",\"name\":\"a\",\"tid\":0,\"ts\":10.0,\"dur\":1.0},\
             {\"ph\":\"X\",\"name\":\"b\",\"tid\":1,\"ts\":5.0,\"dur\":1.0}]}";
         assert!(validate_chrome_json(ok).is_ok());
-    }
-
-    #[test]
-    fn parser_handles_json_shapes() {
-        let v = parse_json("{\"a\": [1, -2.5e1, true, null, \"x\\ny\"]}").unwrap();
-        let obj = v.as_obj().unwrap();
-        let arr = obj[0].1.as_arr().unwrap();
-        assert_eq!(arr[0].as_num(), Some(1.0));
-        assert_eq!(arr[1].as_num(), Some(-25.0));
-        assert_eq!(arr[2], Json::Bool(true));
-        assert_eq!(arr[3], Json::Null);
-        assert_eq!(arr[4].as_str(), Some("x\ny"));
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("[1,").is_err());
-    }
-
-    #[test]
-    fn parser_handles_unicode_strings() {
-        let v = parse_json("\"caf\u{e9} \\u00e9\"").unwrap();
-        assert_eq!(v.as_str(), Some("café é"));
     }
 }
