@@ -458,35 +458,46 @@ impl RunOutput {
 }
 
 impl RunOutput {
-    /// Largest absolute parameter difference against another run.
+    /// Largest absolute parameter difference against another run: NaN when
+    /// either run holds a NaN parameter or the two differ in block count or
+    /// any buffer length, so no tolerance check passes on them.
     pub fn max_param_diff(&self, other: &RunOutput) -> f32 {
-        let mut m = 0.0f32;
-        for (a, b) in self.embed.iter().zip(&other.embed) {
-            m = m.max((a - b).abs());
+        if self.blocks.len() != other.blocks.len() {
+            return f32::NAN;
         }
-        for (ba, bb) in self.blocks.iter().zip(&other.blocks) {
-            for (a, b) in ba.iter().zip(bb) {
-                m = m.max((a - b).abs());
-            }
-        }
-        for (a, b) in self.head.iter().zip(&other.head) {
-            m = m.max((a - b).abs());
-        }
-        m
+        let blocks = self.blocks.iter().zip(&other.blocks);
+        std::iter::once((&self.embed, &other.embed))
+            .chain(blocks)
+            .chain(std::iter::once((&self.head, &other.head)))
+            .map(|(a, b)| max_abs_diff(a, b))
+            .fold(0.0, nan_max)
     }
 
-    /// Largest absolute per-iteration loss difference against another run.
+    /// Largest absolute per-iteration loss difference against another run:
+    /// NaN when either run holds a NaN loss or the iteration counts differ.
     pub fn max_loss_diff(&self, other: &RunOutput) -> f32 {
-        assert_eq!(
-            self.losses.len(),
-            other.losses.len(),
-            "iteration counts differ"
-        );
-        self.losses
-            .iter()
-            .zip(&other.losses)
-            .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()))
+        max_abs_diff(&self.losses, &other.losses)
     }
+}
+
+/// `f32::max` that keeps a NaN from either side instead of dropping it.
+fn nan_max(m: f32, x: f32) -> f32 {
+    if m.is_nan() || x.is_nan() {
+        f32::NAN
+    } else {
+        m.max(x)
+    }
+}
+
+/// Largest elementwise `|a − b|`; NaN on a length mismatch or a NaN operand.
+fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
+    if a.len() != b.len() {
+        return f32::NAN;
+    }
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, nan_max)
 }
 
 #[cfg(test)]
@@ -498,6 +509,45 @@ mod tests {
         let s = TrainSetup::tiny(4, 8);
         assert_eq!(s.model.layers, 4);
         assert_eq!(s.tokens_per_iter(), 2 * 8 * 8);
+    }
+
+    #[test]
+    fn diffs_report_nan_and_length_mismatches() {
+        let run = |losses: Vec<f32>, blocks: Vec<Vec<f32>>| RunOutput {
+            losses,
+            embed: vec![0.5; 3],
+            blocks,
+            head: vec![0.25; 2],
+            bytes_sent: 0,
+            wall_seconds: 0.0,
+            trace: None,
+            metrics: None,
+        };
+        let good = run(vec![2.0, 1.5], vec![vec![1.0; 4], vec![2.0; 4]]);
+        let near = run(
+            vec![2.0, 1.25],
+            vec![vec![1.0; 4], vec![2.0, 2.0, 2.5, 2.0]],
+        );
+        assert_eq!(good.max_loss_diff(&near), 0.25);
+        assert_eq!(good.max_param_diff(&near), 0.5);
+
+        let nan_loss = run(vec![f32::NAN, 1.5], good.blocks.clone());
+        assert!(good.max_loss_diff(&nan_loss).is_nan());
+        assert!(nan_loss.max_loss_diff(&good).is_nan());
+        let short_losses = run(vec![2.0], good.blocks.clone());
+        assert!(good.max_loss_diff(&short_losses).is_nan());
+
+        let mut nan_weight = good.clone();
+        nan_weight.blocks[1][3] = f32::NAN;
+        assert!(good.max_param_diff(&nan_weight).is_nan());
+        assert!(nan_weight.max_param_diff(&good).is_nan());
+        let mut nan_head = good.clone();
+        nan_head.head[0] = f32::NAN;
+        assert!(good.max_param_diff(&nan_head).is_nan());
+        let missing_block = run(good.losses.clone(), vec![vec![1.0; 4]]);
+        assert!(good.max_param_diff(&missing_block).is_nan());
+        let short_block = run(good.losses.clone(), vec![vec![1.0; 4], vec![2.0; 3]]);
+        assert!(good.max_param_diff(&short_block).is_nan());
     }
 
     #[test]

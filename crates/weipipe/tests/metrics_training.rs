@@ -136,16 +136,18 @@ fn metrics_are_bitwise_invisible_to_training() {
     let metered_setup = base.clone().with_metrics(MetricsConfig::on());
     let metered = run_distributed(Strategy::WeiPipeInterleave, 4, &metered_setup).expect("healthy");
     assert!(metered.metrics.is_some());
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
-        metered.max_param_diff(&plain),
-        0.0,
-        "metrics changed the weights"
-    );
-    assert_eq!(
-        metered.max_loss_diff(&plain),
-        0.0,
+        bits(&metered.losses),
+        bits(&plain.losses),
         "metrics changed the losses"
     );
+    assert_eq!(bits(&metered.embed), bits(&plain.embed), "embed differs");
+    assert_eq!(bits(&metered.head), bits(&plain.head), "head differs");
+    assert_eq!(metered.blocks.len(), plain.blocks.len());
+    for (i, (a, b)) in metered.blocks.iter().zip(&plain.blocks).enumerate() {
+        assert_eq!(bits(a), bits(b), "block {i} differs");
+    }
 
     // And the metered run still matches the single-process reference.
     let reference = run_single(&base);

@@ -24,7 +24,8 @@
 //! measured-vs-simulated drift report, and writes validated Chrome
 //! trace-event JSON. `--kill-rank R --kill-after-ms MS` SIGKILLs one worker
 //! mid-run — the chaos-parity check that survivors fail typed instead of
-//! hanging.
+//! hanging. A kill that never lands because every rank finished first is a
+//! conformance failure (exit 3): the run tested nothing.
 //!
 //! `--recover` turns the SIGKILL chaos run into an elastic one: workers
 //! write a full training-state snapshot every `--ckpt-every` iterations
@@ -54,7 +55,8 @@
 //! `CommError` (or was killed) and no recovery was requested or possible;
 //! `2` the watchdog fired — a hang, the outcome the chaos suite asserts
 //! never happens; `3` ranks trained but a conformance check failed (bit
-//! mismatch, traffic non-conservation, invalid trace export).
+//! mismatch, traffic non-conservation, invalid trace export, a scheduled
+//! kill that never landed).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -721,6 +723,14 @@ fn launcher_main(args: &[String]) -> i32 {
         }
     }
     if failed == 0 {
+        // Every rank trained to completion, so a scheduled SIGKILL fired
+        // too late to hit a running worker: the chaos run tested nothing.
+        if let Some(kr) = kill_rank {
+            violations.push(format!(
+                "the kill of rank {kr} scheduled after {kill_after:?} never landed: \
+                 every rank finished first (raise --iters)"
+            ));
+        }
         check_world(
             &opts,
             &run0.reports,
@@ -842,8 +852,23 @@ fn launcher_main(args: &[String]) -> i32 {
     0
 }
 
-fn f32_bits_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+/// True when a run's losses and assembled weights (embedding, every block,
+/// head) equal rank 0's bit for bit.
+fn same_model_bits(
+    r0: &RankReport,
+    losses: &[f32],
+    embed: &[f32],
+    blocks: &[Vec<f32>],
+    head: &[f32],
+) -> bool {
+    let eq = |a: &[f32], b: &[f32]| {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    };
+    eq(losses, &r0.losses)
+        && eq(embed, &r0.embed)
+        && eq(head, &r0.head)
+        && blocks.len() == r0.blocks.len()
+        && blocks.iter().zip(&r0.blocks).all(|(a, b)| eq(a, b))
 }
 
 fn mib(bytes: u64) -> f64 {
@@ -963,16 +988,7 @@ fn check_world(
 ) {
     let r0 = &reports[0];
     for rep in &reports[1..] {
-        let same = f32_bits_eq(&rep.losses, &r0.losses)
-            && f32_bits_eq(&rep.embed, &r0.embed)
-            && f32_bits_eq(&rep.head, &r0.head)
-            && rep.blocks.len() == r0.blocks.len()
-            && rep
-                .blocks
-                .iter()
-                .zip(&r0.blocks)
-                .all(|(a, b)| f32_bits_eq(a, b));
-        if !same {
+        if !same_model_bits(r0, &rep.losses, &rep.embed, &rep.blocks, &rep.head) {
             violations.push(format!(
                 "rank {} disagrees with rank 0 on losses or assembled weights",
                 rep.rank
@@ -1057,16 +1073,13 @@ fn check_world(
                 return;
             }
         };
-        let same = f32_bits_eq(&reference.losses, &r0.losses)
-            && f32_bits_eq(&reference.embed, &r0.embed)
-            && f32_bits_eq(&reference.head, &r0.head)
-            && reference.blocks.len() == r0.blocks.len()
-            && reference
-                .blocks
-                .iter()
-                .zip(&r0.blocks)
-                .all(|(a, b)| f32_bits_eq(a, b));
-        if !same {
+        if !same_model_bits(
+            r0,
+            &reference.losses,
+            &reference.embed,
+            &reference.blocks,
+            &reference.head,
+        ) {
             violations.push("TCP run is not bit-identical to the in-process run".into());
         }
         for rep in reports {

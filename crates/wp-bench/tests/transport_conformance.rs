@@ -286,6 +286,33 @@ fn sigkilled_worker_fails_survivors_typed_never_hangs() {
 
 #[test]
 #[ignore = "spawns worker processes: run in the transport-tcp CI job with --ignored"]
+fn kill_that_never_lands_is_a_conformance_failure() {
+    // Both ranks finish long before the scheduled SIGKILL: the chaos run
+    // tested nothing, so the launcher must fail it (exit 3), not pass it.
+    let (code, out) = run_launcher(
+        &[
+            "--ranks",
+            "2",
+            "--iters",
+            "2",
+            "--kill-rank",
+            "1",
+            "--kill-after-ms",
+            "60000",
+            "--deadline-ms",
+            "60000",
+        ],
+        Duration::from_secs(90),
+    );
+    assert_eq!(code, 3, "expected a conformance failure exit:\n{out}");
+    assert!(
+        out.contains("never landed"),
+        "violation must name the missed kill:\n{out}"
+    );
+}
+
+#[test]
+#[ignore = "spawns worker processes: run in the transport-tcp CI job with --ignored"]
 fn dead_rank_fault_plan_is_typed_across_processes() {
     // The same seeded fault spec the in-process chaos tests use, forwarded
     // to the workers over the command line: identical typed taxonomy.

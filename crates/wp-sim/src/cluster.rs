@@ -251,40 +251,6 @@ impl ClusterSpec {
         let link = self.bottleneck();
         (p - 1.0) * (bytes as f64 / p / link.bandwidth + link.latency)
     }
-
-    /// Ring all-reduce of `bytes` confined to one node's `node_size` ranks
-    /// over the intra link.
-    pub fn intra_all_reduce_s(&self, bytes: u64) -> f64 {
-        let g = self.node_size as f64;
-        if self.node_size <= 1 {
-            return 0.0;
-        }
-        2.0 * (g - 1.0) * (bytes as f64 / g / self.intra.bandwidth + self.intra.latency)
-    }
-
-    /// Ring all-gather / reduce-scatter of `bytes` confined to one node.
-    pub fn intra_gather_scatter_s(&self, bytes: u64) -> f64 {
-        let g = self.node_size as f64;
-        if self.node_size <= 1 {
-            return 0.0;
-        }
-        (g - 1.0) * (bytes as f64 / g / self.intra.bandwidth + self.intra.latency)
-    }
-
-    /// Hierarchical all-reduce estimate: reduce-scatter inside each node
-    /// (intra), ring all-reduce of the node-sharded slice across the
-    /// `groups()` bridge ranks (inter), then all-gather inside each node.
-    /// Collapses to the intra-only estimate on a single node.
-    pub fn hier_all_reduce_s(&self, bytes: u64) -> f64 {
-        let groups = self.groups() as f64;
-        if self.groups() <= 1 {
-            return self.intra_all_reduce_s(bytes);
-        }
-        let slice = bytes as f64 / self.node_size as f64;
-        let inter_s =
-            2.0 * (groups - 1.0) * (slice / groups / self.inter.bandwidth + self.inter.latency);
-        self.intra_gather_scatter_s(bytes) * 2.0 + inter_s
-    }
 }
 
 #[cfg(test)]
@@ -408,24 +374,6 @@ mod tests {
         assert_eq!(c.link_between(3, 7), Link::ethernet_10g());
         assert_eq!(c.link_between(15, 0), Link::ethernet_10g());
         assert_eq!(c.link_between(13, 12), Link::pcie4());
-    }
-
-    #[test]
-    fn group_collectives_price_hierarchy() {
-        let c = ClusterSpec::ethernet_16();
-        let b = 100 << 20;
-        // Intra-node collectives never touch Ethernet: far faster than the
-        // flat ring estimate paced by the bottleneck.
-        assert!(c.intra_all_reduce_s(b) < c.all_reduce_s(b) / 4.0);
-        assert!(c.intra_gather_scatter_s(b) < c.intra_all_reduce_s(b));
-        // Hierarchical all-reduce beats the flat bottleneck-paced ring and
-        // collapses to intra-only on a single island.
-        assert!(c.hier_all_reduce_s(b) < c.all_reduce_s(b));
-        let island = ClusterSpec::nvlink_island(8);
-        assert_eq!(
-            island.hier_all_reduce_s(b).to_bits(),
-            island.intra_all_reduce_s(b).to_bits()
-        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! This crate is the computational substrate every other crate sits on:
 //!
-//! * [`Tensor`] — contiguous, row-major `f32` tensors with deterministic
-//!   seeded initialisation (so every rank of a distributed job can build
-//!   identical weights without communication).
+//! * [`Tensor`] — deterministic seeded initialisation of flat `f32` buffers
+//!   (so every rank of a distributed job can build identical weights without
+//!   communication); callers take the buffer with [`Tensor::into_vec`].
 //! * [`dtype`] — software IEEE binary16 / bfloat16 with round-to-nearest-even
 //!   conversions, used to emulate the paper's mixed-precision storage
 //!   (fp16 weights/activations/weight-grads, bf16 activation-grads, fp32

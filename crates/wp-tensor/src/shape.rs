@@ -1,84 +1,14 @@
 //! Shapes for dense, contiguous, row-major tensors.
 
 /// A tensor shape: the extent of each dimension, outermost first.
-///
-/// Tensors in this stack are always contiguous and row-major, so a shape
-/// fully determines the memory layout.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {
-    /// Build a shape from dimension extents.
-    pub fn new(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
-    }
-
-    /// Dimension extents, outermost first.
-    #[inline]
-    pub fn dims(&self) -> &[usize] {
-        &self.0
-    }
-
-    /// Number of dimensions.
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.0.len()
-    }
-
     /// Total number of elements (product of extents; 1 for a scalar shape).
     #[inline]
     pub fn numel(&self) -> usize {
         self.0.iter().product()
-    }
-
-    /// Extent of dimension `i`.
-    #[inline]
-    pub fn dim(&self, i: usize) -> usize {
-        self.0[i]
-    }
-
-    /// Row-major strides, in elements.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
-
-    /// Linear offset of a multi-dimensional index.
-    ///
-    /// # Panics
-    /// Panics if `idx` has the wrong rank or any coordinate is out of range.
-    pub fn offset(&self, idx: &[usize]) -> usize {
-        assert_eq!(idx.len(), self.0.len(), "index rank mismatch");
-        let mut off = 0;
-        let mut stride = 1;
-        for i in (0..self.0.len()).rev() {
-            assert!(idx[i] < self.0[i], "index {idx:?} out of bounds for {self}");
-            off += idx[i] * stride;
-            stride *= self.0[i];
-        }
-        off
-    }
-}
-
-impl std::fmt::Display for Shape {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[")?;
-        for (i, d) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{d}")?;
-        }
-        write!(f, "]")
-    }
-}
-
-impl From<&[usize]> for Shape {
-    fn from(dims: &[usize]) -> Self {
-        Shape::new(dims)
     }
 }
 
@@ -93,37 +23,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn numel_and_rank() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.numel(), 24);
-        assert_eq!(s.rank(), 3);
-        assert_eq!(s.dim(1), 3);
-        let scalar = Shape::new(&[]);
-        assert_eq!(scalar.numel(), 1);
-    }
-
-    #[test]
-    fn strides_row_major() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-    }
-
-    #[test]
-    fn offset_matches_strides() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.offset(&[0, 0, 0]), 0);
-        assert_eq!(s.offset(&[1, 2, 3]), 23);
-        assert_eq!(s.offset(&[1, 0, 2]), 14);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn offset_bounds_checked() {
-        Shape::new(&[2, 2]).offset(&[2, 0]);
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(Shape::new(&[4, 8]).to_string(), "[4, 8]");
+    fn numel() {
+        assert_eq!(Shape::from([2, 3, 4]).numel(), 24);
+        assert_eq!(Shape::from([]).numel(), 1);
     }
 }
